@@ -2,11 +2,11 @@
 
 Distance from a point to a finite-dimensional subspace is the package's
 workhorse quantity.  At p = 2 it is a least-squares residual; at p = 1
-and p = infinity it is an exact linear program on the in-repo simplex
-solver; at other p it is smooth convex descent.  Every incremental
-result can be cross-checked against a cold-start batch oracle and, for
-the LP norms, against a first-order method that shares no code with the
-simplex route.  The routes agreeing to twelve digits is the everyday
+and p = infinity it is an exact linear program, the dual of the
+minimum-norm problem, solved by HiGHS; at other p it is smooth convex
+descent.  Every incremental result can be cross-checked against a
+cold-start batch oracle and, for the LP norms, against a first-order
+method that shares no code with the LP route.  The routes agreeing to twelve digits is the everyday
 evidence that the numbers mean what they claim.
 """
 

@@ -177,12 +177,7 @@ def _parse_inline_vector(text, field):
         ) from None
     if not isinstance(entries, list) or not entries:
         raise UsageError("inline vector must be a nonempty JSON list")
-    if field == COMPLEX:
-        v = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-    else:
-        v = np.array([float(a) for a in entries], dtype=np.float64)
-    v.flags.writeable = False
-    return v
+    return records.decode_vector({"kind": "vector", "field": field, "entries": entries})
 
 
 def _load_vector_file(path):

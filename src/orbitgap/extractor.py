@@ -29,7 +29,6 @@ from .errors import (
 from .operators import OperatorSpec, apply, orbit_stream, ZeroOrbitMarker
 from .space import NormSpec, L2, norm
 from .subspace import (
-    DEPENDENCY_TOL,
     SpanBasis,
     best_scalar,
     distance,
@@ -112,12 +111,10 @@ def rescale_for_extraction(
         raise ConfigError(f"margin must be positive, got {margin}")
     if not np.any(x):
         raise LinearDependence("x is the zero vector")
-    tx = apply(T, x)
-    span_tx = SpanBasis.from_vectors([tx]) if np.any(tx) else SpanBasis.empty(x.shape[0])
+    span_tx = SpanBasis.from_vectors([apply(T, x)])
     if span_tx.rank == 0:
         raise LinearDependence("Tx is the zero vector")
-    resid = x - span_tx.ortho[0] * (np.vdot(span_tx.ortho[0], x))
-    if float(np.linalg.norm(resid)) < DEPENDENCY_TOL * float(np.linalg.norm(x)):
+    if extend(span_tx, x).dependency_flags[-1]:
         raise LinearDependence("x and Tx are numerically dependent")
     d = distance(x, span_tx, spec)
     lam = (1.0 + margin) / min(norm(x, spec), d)
@@ -134,10 +131,10 @@ def _qualifies(e, Y, direction, cfg):
 def _scan_candidates(e, Y, T, x, n_start, cfg):
     """Candidate powers in (n_start, horizon], smallest qualifying first.
 
-    Yields (n, d) for the winner.  Evaluation runs over fixed-size chunks;
-    with workers > 1 a chunk is mapped in parallel, and the reduction
-    always takes the smallest qualifying index of the chunk, so the result
-    does not depend on the worker count.
+    Returns (elem, d) for the winning orbit element.  Evaluation runs over
+    fixed-size chunks; with workers > 1 a chunk is mapped in parallel, and
+    the reduction always takes the smallest qualifying index of the chunk,
+    so the result does not depend on the worker count.
     """
     stream = orbit_stream(T, x, n_start + 1, cfg.horizon, cfg.norm_spec)
     chunk_size = max(8, 4 * cfg.workers)
@@ -162,7 +159,7 @@ def _scan_candidates(e, Y, T, x, n_start, cfg):
                     )
                 for elem, (ok, d) in zip(chunk, results):
                     if ok:
-                        return elem.n, d
+                        return elem, d
             if died_at is not None:
                 raise ZeroOrbit(
                     died_at, f"orbit died at power n={died_at} before any candidate qualified"
@@ -185,7 +182,8 @@ def find_next_index(e, Y: SpanBasis, T: OperatorSpec, x, n_start: int, cfg: Extr
         raise ConfigError(
             f"precondition failed: dist(e, Y) = {d_now} is not above theta = {cfg.theta}"
         )
-    return _scan_candidates(e, Y, T, x, n_start, cfg)
+    elem, d = _scan_candidates(e, Y, T, x, n_start, cfg)
+    return elem.n, d
 
 
 def find_extension_with_target(
@@ -270,17 +268,13 @@ def extract_subsequence(T: OperatorSpec, x, cfg: ExtractionConfig) -> Certificat
     while len(indices) < cfg.max_steps:
         step = len(indices) + 1
         try:
-            n, d = _scan_candidates(xp, Y, T, xp, indices[-1], cfg)
+            elem, d = _scan_candidates(xp, Y, T, xp, indices[-1], cfg)
         except HorizonExhausted as err:
             raise HorizonExhausted(err.n_start, err.horizon, step=step) from None
         except ZeroOrbit as err:
             raise ZeroOrbit(err.n, f"{err} at step {step}", step=step) from None
-        direction = None
-        for elem in orbit_stream(T, xp, n, n, cfg.norm_spec):
-            if not isinstance(elem, ZeroOrbitMarker):
-                direction = elem.direction
-        Y = extend(Y, direction)
-        indices.append(n)
+        Y = extend(Y, elem.direction)
+        indices.append(elem.n)
         distances.append(d)
     return Certificate(
         scaled_x=xp,

@@ -33,7 +33,7 @@ from .operators import (
     ForwardShift,
     RolewiczMultiple,
 )
-from .space import COMPLEX, REAL, NormSpec
+from .space import COMPLEX, REAL, NormSpec, field_of
 from .dynamics import BuildPlanEntry, BuildResult, DensityRecord, DensityReport, TargetSet
 from .extractor import Certificate, VerificationReport
 
@@ -86,12 +86,8 @@ def _entries(v: np.ndarray, field: str):
     return [float(a) for a in v]
 
 
-def _field_of(v: np.ndarray) -> str:
-    return COMPLEX if np.iscomplexobj(v) else REAL
-
-
 def encode_vector(v: np.ndarray) -> dict:
-    field = _field_of(v)
+    field = field_of(v)
     return {"kind": "vector", "field": field, "entries": _entries(v, field)}
 
 
@@ -161,11 +157,11 @@ def encode_operator(T) -> dict:
         return {"type": "forward-shift"}
     if isinstance(T, Diagonal):
         vec = np.asarray(T.d)
-        field = _field_of(vec)
+        field = field_of(vec)
         return {"type": "diagonal", "field": field, "d": _entries(vec, field)}
     if isinstance(T, DenseMatrix):
         m = np.asarray(T.entries)
-        field = _field_of(m)
+        field = field_of(m)
         return {
             "type": "dense",
             "field": field,

@@ -7,27 +7,28 @@ sizes).  The orthonormal basis always uses the l^2 inner product, whatever
 the ambient norm: span membership does not depend on the norm, only the
 distance value does.
 
-Distance dispatch:
-  p = 2 (unweighted)  exact residual against the orthonormal basis
-  p = 2 (weighted)    least squares on the diagonally scaled basis
-  p in {1, inf}       exact linear program, solved by the in-repo simplex
-  other p > 1         convex descent to tolerance 1e-8
+Distance routes, one table (_distance_to_vectors), chosen by p and field:
+  p = 2                 least squares on the diagonally scaled columns
+  p in {1, inf}, real   exact dual linear program, solved by HiGHS
+  any other p or field  descent from the least-squares and zero starts
+distance() on the unweighted Euclidean norm skips the table: the residual
+against the orthonormal basis is already exact.
 
 For the complex field the absolute value of a residual coordinate is not
 expressible with linear constraints, so p in {1, inf} falls back to the
 descent path there; the exact LP route applies to the real field.
 
-distance_batch_oracle recomputes everything from the raw generators with no
+distance_batch_oracle runs the same table on the raw generators with no
 incremental state and serves as ground truth in verification and tests.
 distance_convex_descent is the independent first-order route used to
-cross-check the LP solver.
+cross-check the LP values.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from .errors import DimensionMismatch, SolverFailure
 from .simplex import solve_standard_lp
@@ -116,7 +117,11 @@ def _scaled_columns(e, vectors, spec):
     over coefficient vectors a gives the ambient weighted distance.  Columns
     are normalized to unit length (the span does not move) so that callers
     may pass generators of any magnitude without degrading the solvers.
+    Both come back complex128 when either side is complex.
     """
+    for v in vectors:
+        if v.shape[0] != e.shape[0]:
+            raise DimensionMismatch("generator dimension differs from the point")
     A = np.stack([np.asarray(v) for v in vectors], axis=1)
     w = spec.weight_array(e.shape[0])
     e_hat = np.asarray(e).copy() if w is None else w * np.asarray(e)
@@ -124,7 +129,10 @@ def _scaled_columns(e, vectors, spec):
         A = w[:, None] * A
     cn = np.linalg.norm(A, axis=0)
     keep = cn > 0.0
-    return e_hat, A[:, keep] / cn[keep]
+    A = A[:, keep] / cn[keep]
+    if np.iscomplexobj(A) or np.iscomplexobj(e_hat):
+        return e_hat.astype(np.complex128), A.astype(np.complex128)
+    return e_hat, A
 
 
 def _lstsq_distance(e_hat, A):
@@ -132,38 +140,29 @@ def _lstsq_distance(e_hat, A):
     return float(np.linalg.norm(e_hat - A @ coef))
 
 
-def _lp_distance_linf(e_hat, A):
-    """Exact min_a ||e_hat - A a||_inf via the epigraph LP.
+def _lp_distance(e_hat, A, p):
+    """Exact min_a ||e_hat - A a||_p, p in {1, inf}, via the dual LP.
 
-    Variables z = [u, v, t, p, q] >= 0 with a = u - v:
-        A a + t 1 - p = e   (residual <= t rows)
-        A a - t 1 + q = e   (residual >= -t rows)
+    By minimum-norm duality the distance equals max <e_hat, y> over
+    A^T y = 0, ||y||_q <= 1 with 1/p + 1/q = 1 (Luenberger, Optimization by
+    Vector Space Methods, 1969, 5.8).  With y = y_plus - y_minus >= 0 that
+    is k equality rows; q = inf (p = 1) bounds y_plus, y_minus by 1, and
+    q = 1 (p = inf) adds the row sum(y_plus + y_minus) + s = 1.  e_hat is
+    scaled to max-abs 1 first, because HiGHS's tolerances are absolute.
     """
     n, k = A.shape
-    ones = np.ones((n, 1))
-    top = np.hstack([A, -A, ones, -np.eye(n), np.zeros((n, n))])
-    bot = np.hstack([A, -A, -ones, np.zeros((n, n)), np.eye(n)])
-    A_eq = np.vstack([top, bot])
-    b_eq = np.concatenate([e_hat, e_hat])
-    c = np.zeros(2 * k + 1 + 2 * n)
-    c[2 * k] = 1.0
-    _, value = solve_standard_lp(c, A_eq, b_eq)
-    return max(float(value), 0.0)
-
-
-def _lp_distance_l1(e_hat, A):
-    """Exact min_a ||e_hat - A a||_1 via residual splitting.
-
-    Variables z = [u, v, r_plus, r_minus] >= 0 with
-    A (u - v) + r_plus - r_minus = e; the sign pattern of e gives an
-    immediate basic feasible start, so phase 1 is skipped.
-    """
-    n, k = A.shape
-    A_eq = np.hstack([A, -A, np.eye(n), -np.eye(n)])
-    c = np.concatenate([np.zeros(2 * k), np.ones(2 * n)])
-    basis = [2 * k + j if e_hat[j] >= 0.0 else 2 * k + n + j for j in range(n)]
-    _, value = solve_standard_lp(c, A_eq, e_hat, basis=basis)
-    return max(float(value), 0.0)
+    scale = float(np.abs(e_hat).max())
+    if scale == 0.0:
+        return 0.0
+    c = np.concatenate([-e_hat, e_hat]) / scale
+    A_eq = np.hstack([A.T, -A.T])
+    b_eq = np.zeros(k)
+    if p == 1.0:
+        _, value = solve_standard_lp(c, A_eq, b_eq, upper=1.0)
+    else:
+        A_eq = np.block([[A_eq, np.zeros((k, 1))], [np.ones((1, 2 * n + 1))]])
+        _, value = solve_standard_lp(np.append(c, 0.0), A_eq, np.append(b_eq, 1.0))
+    return max(-value * scale, 0.0)
 
 
 def _pnorm_and_grad(rho, p):
@@ -178,7 +177,7 @@ def _pnorm_and_grad(rho, p):
     return f, g
 
 
-def _descent_smooth(e_hat, A, p, starts, budget=500):
+def _descent_smooth(e_hat, A, p, starts):
     """L-BFGS on the smooth objective ||e_hat - A a||_p, 1 < p < inf.
 
     The objective is convex but loses second differentiability at zero
@@ -199,7 +198,7 @@ def _descent_smooth(e_hat, A, p, starts, budget=500):
             a0,
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": budget, "ftol": 1e-16, "gtol": 1e-12},
+            options={"maxiter": 1000, "ftol": 1e-16, "gtol": 1e-12},
         )
         any_ok = any_ok or bool(res.success)
         values.append(float(fun(res.x)[0]))
@@ -453,35 +452,27 @@ def _descent_complex(e_hat, A, p, starts, budget=800):
     return max(best, 0.0)
 
 
-def _complex_starts(e_hat, A):
+def _starts(e_hat, A):
+    """Least-squares and zero start points; complex coefficients are stacked
+    as (real, imaginary) to match the real embedding."""
     coef, *_ = np.linalg.lstsq(A, e_hat, rcond=None)
-    z = np.concatenate([coef.real, coef.imag])
-    return [z, np.zeros_like(z)]
-
-
-def _real_starts(e_hat, A):
-    coef, *_ = np.linalg.lstsq(A, e_hat, rcond=None)
+    if np.iscomplexobj(coef):
+        coef = np.concatenate([coef.real, coef.imag])
     return [coef, np.zeros_like(coef)]
 
 
 def _distance_to_vectors(e, vectors, spec: NormSpec) -> float:
-    """Distance from e to span(vectors) in the ambient norm."""
+    """Distance from e to span(vectors) in the ambient norm: the route table."""
     if not vectors:
         return norm(e, spec)
     e_hat, A = _scaled_columns(e, vectors, spec)
-    if np.iscomplexobj(A) or np.iscomplexobj(e_hat):
-        A = A.astype(np.complex128)
-        e_hat = e_hat.astype(np.complex128)
-        if spec.p == 2.0:
-            return _lstsq_distance(e_hat, A)
-        return _descent_complex(e_hat, A, spec.p, _complex_starts(e_hat, A))
     if spec.p == 2.0:
         return _lstsq_distance(e_hat, A)
-    if spec.p == math.inf:
-        return _lp_distance_linf(e_hat, A)
-    if spec.p == 1.0:
-        return _lp_distance_l1(e_hat, A)
-    return _descent_smooth(e_hat, A, spec.p, _real_starts(e_hat, A))
+    if np.iscomplexobj(A):
+        return _descent_complex(e_hat, A, spec.p, _starts(e_hat, A))
+    if spec.p in (1.0, math.inf):
+        return _lp_distance(e_hat, A, spec.p)
+    return _descent_smooth(e_hat, A, spec.p, _starts(e_hat, A))
 
 
 def distance(e: np.ndarray, Y: SpanBasis, spec: NormSpec = L2) -> float:
@@ -492,9 +483,7 @@ def distance(e: np.ndarray, Y: SpanBasis, spec: NormSpec = L2) -> float:
     """
     if e.shape[0] != Y.dim:
         raise DimensionMismatch(f"point has dimension {e.shape[0]}, span has {Y.dim}")
-    if Y.rank == 0:
-        return norm(e, spec)
-    if spec.is_euclidean:
+    if spec.is_euclidean and Y.rank > 0:
         return float(np.linalg.norm(_project_residual(Y.ortho, e)))
     return _distance_to_vectors(e, list(Y.ortho), spec)
 
@@ -503,45 +492,17 @@ def distance_if_extended(e: np.ndarray, Y: SpanBasis, v: np.ndarray, spec: NormS
     """distance(e, extend(Y, v), spec) without keeping the extended span."""
     if v.shape[0] != Y.dim or e.shape[0] != Y.dim:
         raise DimensionMismatch("dimension mismatch in what-if distance query")
-    if spec.is_euclidean:
-        nv = float(np.linalg.norm(v))
-        r = _project_residual(Y.ortho, v)
-        rn = float(np.linalg.norm(r))
-        if nv == 0.0 or rn < DEPENDENCY_TOL * nv:
-            ortho = Y.ortho
-        else:
-            q = r / rn
-            ortho = Y.ortho + (q,)
-        return float(np.linalg.norm(_project_residual(ortho, e)))
     return distance(e, extend(Y, v), spec)
 
 
 def distance_batch_oracle(e: np.ndarray, generators, spec: NormSpec = L2) -> float:
     """Ground-truth distance recomputed from the raw generators.
 
-    No incremental state: full least squares for p = 2, a cold-start LP for
-    p in {1, inf}, zero-start descent otherwise.
+    No incremental state: the route table runs on the raw generators, so
+    p = 2 is a full least-squares solve, real p in {1, inf} a fresh dual LP,
+    and every other case descent from the least-squares and zero starts.
     """
-    generators = list(generators)
-    for g in generators:
-        if g.shape[0] != e.shape[0]:
-            raise DimensionMismatch("generator dimension differs from the point")
-    if not generators:
-        return norm(e, spec)
-    e_hat, A = _scaled_columns(e, generators, spec)
-    if np.iscomplexobj(A) or np.iscomplexobj(e_hat):
-        A = A.astype(np.complex128)
-        e_hat = e_hat.astype(np.complex128)
-        if spec.p == 2.0:
-            return _lstsq_distance(e_hat, A)
-        return _descent_complex(e_hat, A, spec.p, _complex_starts(e_hat, A))
-    if spec.p == 2.0:
-        return _lstsq_distance(e_hat, A)
-    if spec.p == math.inf:
-        return _lp_distance_linf(e_hat, A)
-    if spec.p == 1.0:
-        return _lp_distance_l1(e_hat, A)
-    return _descent_smooth(e_hat, A, spec.p, _real_starts(e_hat, A), budget=1000)
+    return _distance_to_vectors(e, list(generators), spec)
 
 
 def best_scalar(t: np.ndarray, u: np.ndarray, spec: NormSpec = L2):
@@ -566,17 +527,14 @@ def best_scalar(t: np.ndarray, u: np.ndarray, spec: NormSpec = L2):
         return c2, norm(t - c2 * u, spec)
 
     if np.iscomplexobj(t) or np.iscomplexobj(u):
-        from scipy.optimize import minimize as _min
 
         def f(ab):
             return norm(t - complex(ab[0], ab[1]) * u, spec)
 
-        res = _min(f, np.array([c2.real, c2.imag]), method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-13, "maxiter": 2000})
+        res = minimize(f, np.array([c2.real, c2.imag]), method="Nelder-Mead",
+                       options={"xatol": 1e-12, "fatol": 1e-13, "maxiter": 2000})
         c = complex(res.x[0], res.x[1])
         return c, norm(t - c * u, spec)
-
-    from scipy.optimize import minimize_scalar
 
     bound = 2.0 * norm(t, spec) / nu + 1e-12
     res = minimize_scalar(lambda c: norm(t - c * u, spec), bounds=(-bound, bound),
@@ -586,7 +544,7 @@ def best_scalar(t: np.ndarray, u: np.ndarray, spec: NormSpec = L2):
 
 
 def distance_convex_descent(e: np.ndarray, generators, spec: NormSpec = L2) -> float:
-    """First-order route to the same distance, independent of the simplex.
+    """First-order route to the same distance, independent of the LP.
 
     Used to cross-check the exact LP values for p in {1, inf}; for smooth p
     it coincides with the solver distance() already uses.
@@ -595,11 +553,9 @@ def distance_convex_descent(e: np.ndarray, generators, spec: NormSpec = L2) -> f
     if not generators:
         return norm(e, spec)
     e_hat, A = _scaled_columns(e, generators, spec)
-    if np.iscomplexobj(A) or np.iscomplexobj(e_hat):
-        A = A.astype(np.complex128)
-        e_hat = e_hat.astype(np.complex128)
-        return _descent_complex(e_hat, A, spec.p, _complex_starts(e_hat, A))
-    starts = _real_starts(e_hat, A)
+    starts = _starts(e_hat, A)
+    if np.iscomplexobj(A):
+        return _descent_complex(e_hat, A, spec.p, starts)
     if spec.p in (1.0, math.inf):
         return _descent_epigraph(e_hat, A, spec.p, starts)
     return _descent_smooth(e_hat, A, spec.p, starts)

@@ -10,10 +10,14 @@ from orbitgap import (
     Diagonal,
     ExtractionConfig,
     ForwardShift,
+    L1,
     L2,
+    LINF,
     RolewiczMultiple,
     SpanBasis,
     apply,
+    build_supercyclic_vector,
+    default_target_set,
     distance,
     extract_subsequence,
     find_extension_with_target,
@@ -262,3 +266,18 @@ def test_verify_never_raises_on_garbage():
     report = verify_certificate(cert, ForwardShift(), np.ones(4))
     assert not report.ok
     assert report.failed_check == "indices"
+
+
+@pytest.mark.parametrize("N", [128, 1024])
+@pytest.mark.parametrize("spec", [L1, LINF], ids=["l1", "linf"])
+def test_builder_pipeline_at_lp_norms(spec, N):
+    # the README pipeline on the builder's geometrically scaled vectors,
+    # whose entries reach ~1e-23 at N=128: every LP distance must solve
+    T = RolewiczMultiple(2.0)
+    built = build_supercyclic_vector(2.0, default_target_set(N, count=8), N, spec)
+    cfg = ExtractionConfig(horizon=96, max_steps=min(16, N // 8), theta=1.01, norm_spec=spec)
+    cert = extract_subsequence(T, built.x, cfg)
+    assert len(cert.indices) == cfg.max_steps
+    report = verify_certificate(cert, T, built.x)
+    assert report.ok, report.message
+    assert report.max_rel_deviation <= 1e-8

@@ -40,7 +40,7 @@ def test_infeasible_raises():
     c = np.array([1.0, 1.0])
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
     b = np.array([1.0, 2.0])
-    with pytest.raises(SolverFailure):
+    with pytest.raises(SolverFailure, match=r"HiGHS .* shape 2x2"):
         solve_standard_lp(c, A, b)
 
 
@@ -49,12 +49,12 @@ def test_unbounded_raises():
     c = np.array([-1.0, 0.0])
     A = np.array([[1.0, -1.0]])
     b = np.array([0.0])
-    with pytest.raises(SolverFailure):
+    with pytest.raises(SolverFailure, match=r"HiGHS .* shape 1x2"):
         solve_standard_lp(c, A, b)
 
 
 def test_negative_rhs_normalized():
-    # row scaling must flip -x1 - x2 = -3 into a workable row
+    # a negative right-hand side must be accepted as given
     c = np.array([1.0, 2.0, 0.0])
     A = np.array([[-1.0, -1.0, -1.0]])
     b = np.array([-3.0])
@@ -63,18 +63,8 @@ def test_negative_rhs_normalized():
     assert np.allclose(A @ x, b, atol=1e-10)
 
 
-def test_warm_basis_matches_cold():
-    c = np.array([2.0, 3.0, 0.0, 0.0])
-    A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
-    b = np.array([4.0, 6.0])
-    x_cold, v_cold = solve_standard_lp(c, A, b)
-    x_warm, v_warm = solve_standard_lp(c, A, b, basis=[2, 3])
-    assert v_warm == pytest.approx(v_cold, abs=1e-12)
-    assert np.allclose(x_warm, x_cold, atol=1e-10)
-
-
 def test_degenerate_cycling_guard():
-    # Beale's classic cycling example; Bland's rule must terminate
+    # Beale's classic cycling example: the solver must terminate at the optimum
     c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
     A = np.array(
         [
@@ -88,33 +78,20 @@ def test_degenerate_cycling_guard():
     assert val == pytest.approx(-0.05, abs=1e-10)
 
 
-def test_random_lps_against_scipy():
-    rng = np.random.default_rng(42)
-    solved = 0
-    for _ in range(60):
-        m = int(rng.integers(1, 6))
-        n = int(rng.integers(m, m + 8))
-        A = rng.standard_normal((m, n))
-        # force feasibility: b = A @ (nonnegative point)
-        x0 = rng.uniform(0.0, 2.0, n)
-        b = A @ x0
-        # c = A^T y + s with s >= 0 keeps the LP bounded as well
-        c = A.T @ rng.standard_normal(m) + rng.uniform(0.0, 1.0, n)
-        ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-        assert ref.status == 0
-        x, val = solve_standard_lp(c, A, b)
-        assert val == pytest.approx(ref.fun, rel=1e-8, abs=1e-8)
-        assert np.allclose(A @ x, b, atol=1e-8)
-        assert np.all(x >= -1e-9)
-        solved += 1
-    assert solved == 60
-
-
 def test_redundant_row_dropped():
-    # duplicated constraint leaves an artificial pinned at zero; the solver
-    # must drop the row rather than fail
+    # a duplicated constraint makes A rank-deficient; the solver must not fail
     c = np.array([1.0, 1.0])
     A = np.array([[1.0, 1.0], [2.0, 2.0]])
     b = np.array([1.0, 2.0])
     x, val = solve_standard_lp(c, A, b)
     assert val == pytest.approx(1.0, abs=1e-10)
+
+
+def test_upper_bound_caps_the_variables():
+    # max a + 2b with a = b: unbounded alone, capped at 3 by upper
+    c = np.array([-1.0, -2.0])
+    A = np.array([[1.0, -1.0]])
+    b = np.array([0.0])
+    x, val = solve_standard_lp(c, A, b, upper=3.0)
+    assert val == pytest.approx(-9.0, abs=1e-10)
+    assert np.allclose(x, [3.0, 3.0], atol=1e-10)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from orbitgap import (
     L1,
@@ -230,3 +232,31 @@ def test_distance_scale_invariance_of_span():
         a = distance_batch_oracle(e, gens, spec)
         b = distance_batch_oracle(e, [1e6 * g for g in gens], spec)
         assert a == pytest.approx(b, rel=1e-8)
+
+
+@st.composite
+def dyadic_instances(draw):
+    """Point and generators with entries +-2^-m, m <= 75, as the builder makes."""
+    dim = draw(st.integers(4, 64))
+    rank = draw(st.integers(1, min(16, dim - 1)))
+    m = draw(arrays(np.int64, (rank + 1, dim), elements=st.integers(0, 75)))
+    sign = draw(arrays(np.bool_, (rank + 1, dim)))
+    rows = np.where(sign, 1.0, -1.0) * np.ldexp(1.0, -m)
+    return rows[0], SpanBasis.from_vectors(list(rows[1:]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(dyadic_instances())
+def test_lp_distances_bracket_l2_on_dyadic_vectors(instance):
+    # norm equivalence in dimension N carries over to distances:
+    # d2/sqrt(N) <= dinf <= d2 <= d1 <= sqrt(N) d2, with d2 the exact
+    # orthogonal projection, so the LP values need no solver to check
+    e, Y = instance
+    root = math.sqrt(e.shape[0])
+    d2 = distance(e, Y, L2)
+    dinf, d1 = distance(e, Y, LINF), distance(e, Y, L1)
+    tol = 1e-6 * float(np.abs(e).sum())
+    assert d2 / root <= dinf + tol, (d2, dinf)
+    assert dinf <= d2 + tol, (dinf, d2)
+    assert d2 <= d1 + tol, (d2, d1)
+    assert d1 <= root * d2 + tol, (d1, d2)
