@@ -35,7 +35,7 @@ from .subspace import (
 
 _CONFIG_KEYS = {
     "operator", "dim", "steps", "theta", "margin", "horizon", "norm", "field",
-    "targets", "x", "out", "seed", "eps", "strict-tol", "allow-deep", "workers",
+    "targets", "x", "out", "seed", "eps", "strict-tol", "allow-deep",
     "format", "span", "rank",
 }
 
@@ -66,7 +66,6 @@ def _build_parser():
     p.add_argument("--horizon", type=int, help="candidate cap (default dim)")
     p.add_argument("--strict-tol", dest="strict_tol", type=float, help="strictness slack (default 1e-9)")
     p.add_argument("--allow-deep", dest="allow_deep", action="store_const", const=True, help="override the maxSteps <= N/8 safety ratio")
-    p.add_argument("--workers", type=int, help="parallel candidate evaluators (default 1)")
 
     p = sub.add_parser("verify", help="re-check a certificate from scratch")
     p.add_argument("record", help="certificate record file")
@@ -244,7 +243,6 @@ def _cmd_extract(ns):
         norm_spec=spec,
         strict_tol=1e-9 if ns.strict_tol is None else ns.strict_tol,
         allow_deep=bool(ns.allow_deep),
-        workers=1 if ns.workers is None else ns.workers,
     )
     cert = extract_subsequence(T, x, cfg)
     record = records.encode_certificate(cert)

@@ -8,12 +8,15 @@ are unit directions only; span extension is scalar-invariant, so nothing
 is lost by dropping the scalar there.  The recorded distances certify
 dist(x', span{T^(n_k) x' : k <= K}) > theta at finite K.
 
+One run reads one orbit stream: each step scores the powers after
+n_(k-1) one at a time and the first that qualifies wins, so no power past
+n_K is generated or scored.
+
 verify_certificate reruns everything from scratch against the batch
 oracle and reports the first violated check instead of raising.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +54,6 @@ class ExtractionConfig:
     norm_spec: NormSpec = L2
     strict_tol: float = 1e-9
     allow_deep: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if not (self.theta >= 1.0 and math.isfinite(self.theta)):
@@ -66,8 +68,6 @@ class ExtractionConfig:
             )
         if not (self.strict_tol > 0.0):
             raise ConfigError(f"strictTol must be positive, got {self.strict_tol}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {self.workers}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,52 +123,34 @@ def rescale_for_extraction(
     return lam, x_prime
 
 
-def _qualifies(e, Y, direction, cfg):
-    d = distance_if_extended(e, Y, direction, cfg.norm_spec)
-    return d > cfg.theta + cfg.strict_tol, d
+def _scan_candidates(e, Y, stream, n_start, cfg):
+    """Smallest qualifying power in (n_start, horizon], read off one orbit stream.
 
-
-def _scan_candidates(e, Y, T, x, n_start, cfg):
-    """Candidate powers in (n_start, horizon], smallest qualifying first.
-
-    Returns (elem, d) for the winning orbit element.  Evaluation runs over
-    fixed-size chunks; with workers > 1 a chunk is mapped in parallel, and
-    the reduction always takes the smallest qualifying index of the chunk,
-    so the result does not depend on the worker count.
+    The stream continues right after n_start.  Candidates are scored one at
+    a time in stream order and the first that qualifies wins: returns
+    (elem, d) and leaves the stream just past elem, where the next step
+    continues it, so nothing past the winner is scored or generated.
     """
-    stream = orbit_stream(T, x, n_start + 1, cfg.horizon, cfg.norm_spec)
-    chunk_size = max(8, 4 * cfg.workers)
-    pool = ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
-    try:
-        died_at = None
-        while True:
-            chunk = []
-            for elem in stream:
-                if isinstance(elem, ZeroOrbitMarker):
-                    died_at = elem.n
-                    break
-                chunk.append(elem)
-                if len(chunk) == chunk_size:
-                    break
-            if chunk:
-                if pool is None:
-                    results = [_qualifies(e, Y, c.direction, cfg) for c in chunk]
-                else:
-                    results = list(
-                        pool.map(lambda c: _qualifies(e, Y, c.direction, cfg), chunk)
-                    )
-                for elem, (ok, d) in zip(chunk, results):
-                    if ok:
-                        return elem, d
-            if died_at is not None:
-                raise ZeroOrbit(
-                    died_at, f"orbit died at power n={died_at} before any candidate qualified"
-                )
-            if len(chunk) < chunk_size:
-                raise HorizonExhausted(n_start, cfg.horizon)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    for elem in stream:
+        if isinstance(elem, ZeroOrbitMarker):
+            raise ZeroOrbit(
+                elem.n, f"orbit died at power n={elem.n} before any candidate qualified"
+            )
+        d = distance_if_extended(e, Y, elem.direction, cfg.norm_spec)
+        if d > cfg.theta + cfg.strict_tol:
+            return elem, d
+    raise HorizonExhausted(n_start, cfg.horizon)
+
+
+def _require_step(e, Y, n_start, cfg):
+    """Preconditions of a one-step search: dist(e, Y) > theta, a power left."""
+    d_now = distance(e, Y, cfg.norm_spec)
+    if not d_now > cfg.theta + cfg.strict_tol:
+        raise ConfigError(
+            f"precondition failed: dist(e, Y) = {d_now} is not above theta = {cfg.theta}"
+        )
+    if n_start >= cfg.horizon:
+        raise HorizonExhausted(n_start, cfg.horizon)
 
 
 def find_next_index(e, Y: SpanBasis, T: OperatorSpec, x, n_start: int, cfg: ExtractionConfig):
@@ -177,12 +159,9 @@ def find_next_index(e, Y: SpanBasis, T: OperatorSpec, x, n_start: int, cfg: Extr
     The hypothesis dist(e, Y) > theta must already hold; candidate scaling
     is irrelevant because span extension is scalar-invariant.
     """
-    d_now = distance(e, Y, cfg.norm_spec)
-    if not d_now > cfg.theta + cfg.strict_tol:
-        raise ConfigError(
-            f"precondition failed: dist(e, Y) = {d_now} is not above theta = {cfg.theta}"
-        )
-    elem, d = _scan_candidates(e, Y, T, x, n_start, cfg)
+    _require_step(e, Y, n_start, cfg)
+    stream = orbit_stream(T, x, n_start + 1, cfg.horizon, cfg.norm_spec)
+    elem, d = _scan_candidates(e, Y, stream, n_start, cfg)
     return elem.n, d
 
 
@@ -206,24 +185,20 @@ def find_extension_with_target(
     """
     if not (epsilon > 0.0):
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    d_now = distance(e, Y, cfg.norm_spec)
-    if not d_now > cfg.theta + cfg.strict_tol:
-        raise ConfigError(
-            f"precondition failed: dist(e, Y) = {d_now} is not above theta = {cfg.theta}"
-        )
     y_dist = distance_batch_oracle(y, list(Y.generators), cfg.norm_spec)
     if y_dist > 1e-8 * max(1.0, norm(y, cfg.norm_spec)):
         raise ConfigError(
             f"precondition failed: y is at distance {y_dist} from span(Y)"
         )
+    _require_step(e, Y, n_start, cfg)
     any_avoiding = False
     for elem in orbit_stream(T, x, n_start + 1, cfg.horizon, cfg.norm_spec):
         if isinstance(elem, ZeroOrbitMarker):
             raise ZeroOrbit(
                 elem.n, f"orbit died at power n={elem.n} before any candidate qualified"
             )
-        ok, d = _qualifies(e, Y, elem.direction, cfg)
-        if not ok:
+        d = distance_if_extended(e, Y, elem.direction, cfg.norm_spec)
+        if not d > cfg.theta + cfg.strict_tol:
             continue
         any_avoiding = True
         gamma, err = best_scalar(y, elem.direction, cfg.norm_spec)
@@ -253,7 +228,8 @@ def extract_subsequence(T: OperatorSpec, x, cfg: ExtractionConfig) -> Certificat
         )
     lam, xp = rescale_for_extraction(x, T, cfg.norm_spec, cfg.margin)
 
-    first = next(iter(orbit_stream(T, xp, 1, 1, cfg.norm_spec)))
+    stream = orbit_stream(T, xp, 1, cfg.horizon, cfg.norm_spec)
+    first = next(stream)
     if isinstance(first, ZeroOrbitMarker):
         raise ZeroOrbit(first.n, "Tx is zero, no orbit to select from", step=1)
     Y = SpanBasis.from_vectors([first.direction])
@@ -268,7 +244,7 @@ def extract_subsequence(T: OperatorSpec, x, cfg: ExtractionConfig) -> Certificat
     while len(indices) < cfg.max_steps:
         step = len(indices) + 1
         try:
-            elem, d = _scan_candidates(xp, Y, T, xp, indices[-1], cfg)
+            elem, d = _scan_candidates(xp, Y, stream, indices[-1], cfg)
         except HorizonExhausted as err:
             raise HorizonExhausted(err.n_start, err.horizon, step=step) from None
         except ZeroOrbit as err:

@@ -1,13 +1,13 @@
 """Growing spans and distances from a point to a span.
 
 SpanBasis keeps both the raw generators (as added) and an l^2-orthonormal
-basis maintained by classical Gram-Schmidt applied twice per extension
-(twice is enough to hold orthonormality near machine precision at these
-sizes).  The orthonormal basis always uses the l^2 inner product, whatever
+basis Q, one rank x N array built by classical Gram-Schmidt applied twice
+per extension (twice is enough to hold orthonormality near machine
+precision at these sizes).  Q always uses the l^2 inner product, whatever
 the ambient norm: span membership does not depend on the norm, only the
 distance value does.
 
-Distance routes, one table (_distance_to_vectors), chosen by p and field:
+Distance routes, one table (_route_table), chosen by p and field:
   p = 2                 least squares on the diagonally scaled columns
   p in {1, inf}, real   exact dual linear program, solved by HiGHS
   any other p or field  descent from the least-squares and zero starts
@@ -18,8 +18,9 @@ For the complex field the absolute value of a residual coordinate is not
 expressible with linear constraints, so p in {1, inf} falls back to the
 descent path there; the exact LP route applies to the real field.
 
-distance_batch_oracle runs the same table on the raw generators with no
-incremental state and serves as ground truth in verification and tests.
+distance_batch_oracle runs the same table with no incremental state and
+serves as ground truth in verification and tests: at p = 2 on the raw
+generators, at any other p on a column-pivoted Householder QR basis of them.
 distance_convex_descent is the independent first-order route used to
 cross-check the LP values.
 """
@@ -28,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import qr
 from scipy.optimize import minimize, minimize_scalar
 
 from .errors import DimensionMismatch, SolverFailure
@@ -39,20 +41,23 @@ DEPENDENCY_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class SpanBasis:
-    """Immutable span of a growing generator list."""
+    """Immutable span of a growing generator list; ortho is Q, the orthonormal
+    basis as one read-only rank x dim array, built once per extend."""
 
     dim: int
     generators: tuple
-    ortho: tuple
+    ortho: np.ndarray
     dependency_flags: tuple
 
     @property
     def rank(self) -> int:
-        return len(self.ortho)
+        return self.ortho.shape[0]
 
     @classmethod
     def empty(cls, dim: int) -> "SpanBasis":
-        return cls(dim=dim, generators=(), ortho=(), dependency_flags=())
+        Q = np.zeros((0, dim))
+        Q.flags.writeable = False
+        return cls(dim=dim, generators=(), ortho=Q, dependency_flags=())
 
     @classmethod
     def from_vectors(cls, vecs, dim: int | None = None) -> "SpanBasis":
@@ -67,15 +72,8 @@ class SpanBasis:
         return basis
 
 
-def _ortho_matrix(ortho) -> np.ndarray:
-    return np.vstack(ortho)
-
-
-def _project_residual(ortho, v: np.ndarray) -> np.ndarray:
-    """Residual of v against the orthonormal rows, two Gram-Schmidt passes."""
-    if not ortho:
-        return v.copy()
-    Q = _ortho_matrix(ortho)
+def _project_residual(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Residual of v against the orthonormal rows of Q, two Gram-Schmidt passes."""
     r = v.astype(np.result_type(v.dtype, Q.dtype), copy=True)
     for _ in range(2):
         r = r - Q.T @ (Q.conj() @ r)
@@ -100,12 +98,12 @@ def extend(Y: SpanBasis, v: np.ndarray) -> SpanBasis:
             ortho=Y.ortho,
             dependency_flags=Y.dependency_flags + (True,),
         )
-    q = r / rn
-    q.flags.writeable = False
+    Q = np.vstack([Y.ortho, r / rn])
+    Q.flags.writeable = False
     return SpanBasis(
         dim=Y.dim,
         generators=Y.generators + (v,),
-        ortho=Y.ortho + (q,),
+        ortho=Q,
         dependency_flags=Y.dependency_flags + (False,),
     )
 
@@ -202,8 +200,6 @@ def _descent_smooth(e_hat, A, p, starts):
         )
         any_ok = any_ok or bool(res.success)
         values.append(float(fun(res.x)[0]))
-    if not values:
-        raise SolverFailure("descent: no start point")
     best = min(values)
     agree = len(values) > 1 and max(values) - best <= 1e-8 * max(1.0, best)
     if not (any_ok or agree):
@@ -374,14 +370,12 @@ def _descent_complex(e_hat, A, p, starts, budget=800):
             h = np.concatenate([s * rho[:n], s * rho[n:]])
             return f, -M.T @ h
 
-        best = None
+        values = []
         for b0 in starts:
             res = minimize(fun, b0, jac=True, method="L-BFGS-B",
                            options={"maxiter": budget, "ftol": 1e-16, "gtol": 1e-12})
-            val = float(fun(res.x)[0])
-            if best is None or val < best:
-                best = val
-        return max(best, 0.0)
+            values.append(float(fun(res.x)[0]))
+        return max(min(values), 0.0)
 
     nslack = 1 if p == math.inf else n
     dim = 2 * k + nslack
@@ -440,8 +434,6 @@ def _descent_complex(e_hat, A, p, starts, budget=800):
                        method="SLSQP", options={"maxiter": budget, "ftol": 1e-14})
         any_ok = any_ok or bool(res.success)
         values.append(value_of(split(res.x)[0]))
-    if not values:
-        raise SolverFailure("descent: no start point")
     ordered = sorted(values)
     best = ordered[0]
     # SLSQP can stall in the linesearch exactly at the optimum; two routes
@@ -461,18 +453,15 @@ def _starts(e_hat, A):
     return [coef, np.zeros_like(coef)]
 
 
-def _distance_to_vectors(e, vectors, spec: NormSpec) -> float:
-    """Distance from e to span(vectors) in the ambient norm: the route table."""
-    if not vectors:
-        return norm(e, spec)
-    e_hat, A = _scaled_columns(e, vectors, spec)
-    if spec.p == 2.0:
+def _route_table(e_hat, A, p) -> float:
+    """min_a ||e_hat - A a||_p on columns prepared by _scaled_columns."""
+    if p == 2.0:
         return _lstsq_distance(e_hat, A)
     if np.iscomplexobj(A):
-        return _descent_complex(e_hat, A, spec.p, _starts(e_hat, A))
-    if spec.p in (1.0, math.inf):
-        return _lp_distance(e_hat, A, spec.p)
-    return _descent_smooth(e_hat, A, spec.p, _starts(e_hat, A))
+        return _descent_complex(e_hat, A, p, _starts(e_hat, A))
+    if p in (1.0, math.inf):
+        return _lp_distance(e_hat, A, p)
+    return _descent_smooth(e_hat, A, p, _starts(e_hat, A))
 
 
 def distance(e: np.ndarray, Y: SpanBasis, spec: NormSpec = L2) -> float:
@@ -483,9 +472,11 @@ def distance(e: np.ndarray, Y: SpanBasis, spec: NormSpec = L2) -> float:
     """
     if e.shape[0] != Y.dim:
         raise DimensionMismatch(f"point has dimension {e.shape[0]}, span has {Y.dim}")
-    if spec.is_euclidean and Y.rank > 0:
+    if Y.rank == 0:
+        return norm(e, spec)
+    if spec.is_euclidean:
         return float(np.linalg.norm(_project_residual(Y.ortho, e)))
-    return _distance_to_vectors(e, list(Y.ortho), spec)
+    return _route_table(*_scaled_columns(e, list(Y.ortho), spec), spec.p)
 
 
 def distance_if_extended(e: np.ndarray, Y: SpanBasis, v: np.ndarray, spec: NormSpec = L2) -> float:
@@ -498,11 +489,22 @@ def distance_if_extended(e: np.ndarray, Y: SpanBasis, v: np.ndarray, spec: NormS
 def distance_batch_oracle(e: np.ndarray, generators, spec: NormSpec = L2) -> float:
     """Ground-truth distance recomputed from the raw generators.
 
-    No incremental state: the route table runs on the raw generators, so
-    p = 2 is a full least-squares solve, real p in {1, inf} a fresh dual LP,
-    and every other case descent from the least-squares and zero starts.
+    No incremental state.  p = 2 is a full least-squares solve on them.  Any
+    other p runs the route table on a column-pivoted Householder QR basis of
+    the scaled columns, cut at the numerical rank (|R_ii| > DEPENDENCY_TOL *
+    |R_00|): the same span even with dependent generators, independent of
+    SpanBasis, and well conditioned, where descent on raw orbit directions
+    (condition ~1e4) can stop short of the minimum.
     """
-    return _distance_to_vectors(e, list(generators), spec)
+    generators = list(generators)
+    if not generators:
+        return norm(e, spec)
+    e_hat, A = _scaled_columns(e, generators, spec)
+    if spec.p != 2.0 and A.shape[1] > 0:
+        Q, R, _ = qr(A, mode="economic", pivoting=True)
+        r = np.abs(np.diag(R))
+        A = Q[:, : int(np.count_nonzero(r > DEPENDENCY_TOL * r[0]))]
+    return _route_table(e_hat, A, spec.p)
 
 
 def best_scalar(t: np.ndarray, u: np.ndarray, spec: NormSpec = L2):

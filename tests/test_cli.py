@@ -31,6 +31,16 @@ def test_parse_config_unknown_key():
     assert "stepz" in str(exc.value)
 
 
+def test_workers_is_no_longer_an_option(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"workers": 2}')
+    code, _, err = run_cli(capsys, "extract", "--operator", "rolewicz:2", "--config", str(config))
+    assert code == 2 and "unknown config key 'workers'" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", "--operator", "rolewicz:2", "--workers", "2"])
+    assert exc.value.code == 2
+
+
 def test_config_file_fills_only_missing(tmp_path):
     ns = parse_config(
         ["extract", "--operator", "rolewicz:2", "--steps", "6"],

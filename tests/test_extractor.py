@@ -13,6 +13,7 @@ from orbitgap import (
     L1,
     L2,
     LINF,
+    NormSpec,
     RolewiczMultiple,
     SpanBasis,
     apply,
@@ -26,6 +27,7 @@ from orbitgap import (
     rescale_for_extraction,
     verify_certificate,
 )
+from orbitgap import extractor, operators
 from orbitgap.space import basis_vector
 from orbitgap.errors import (
     ApproximationInfeasible,
@@ -51,8 +53,6 @@ def test_config_validation():
         ExtractionConfig(horizon=4, max_steps=4)
     with pytest.raises(ConfigError):
         ExtractionConfig(horizon=10, max_steps=0)
-    with pytest.raises(ConfigError):
-        ExtractionConfig(horizon=10, max_steps=4, workers=0)
     with pytest.raises(ConfigError):
         ExtractionConfig(horizon=10, max_steps=4, strict_tol=0.0)
 
@@ -133,6 +133,24 @@ def test_finite_dimension_exhausts_horizon():
     assert exc.value.step <= 9  # span saturates at the ambient dimension
 
 
+def test_index_at_the_horizon_exhausts_it():
+    # n_3 = 6 = horizon while a step remains: nothing is left to scan
+    x = np.random.default_rng(0).standard_normal(64)
+    cfg = ExtractionConfig(horizon=6, max_steps=4, theta=1.49)
+    with pytest.raises(HorizonExhausted) as exc:
+        extract_subsequence(RolewiczMultiple(2.0), x, cfg)
+    assert (exc.value.n_start, exc.value.horizon, exc.value.step) == (6, 6, 4)
+    # the public one-step searches open no stream past the horizon either
+    e = 1.5 * basis_vector(0, 16)
+    Y = SpanBasis.from_vectors([basis_vector(1, 16)])
+    with pytest.raises(HorizonExhausted) as exc:
+        find_next_index(e, Y, ForwardShift(), e, 6, cfg)
+    assert (exc.value.n_start, exc.value.horizon) == (6, 6)
+    with pytest.raises(HorizonExhausted) as exc:
+        find_extension_with_target(e, Y, ForwardShift(), e, np.zeros(16), 0.1, 6, cfg)
+    assert (exc.value.n_start, exc.value.horizon) == (6, 6)
+
+
 def test_monotone_ledger_and_threshold():
     rng = np.random.default_rng(33)
     x = rng.uniform(0.5, 1.5, 64)
@@ -141,17 +159,6 @@ def test_monotone_ledger_and_threshold():
     assert all(d > 1.0 for d in cert.distances)
     for a, b in zip(cert.distances, cert.distances[1:]):
         assert b <= a + 1e-12
-
-
-def test_parallel_matches_sequential():
-    rng = np.random.default_rng(34)
-    x = rng.uniform(0.5, 1.5, 64)
-    cfg1 = ExtractionConfig(horizon=48, max_steps=6)
-    cfg4 = dataclasses.replace(cfg1, workers=4)
-    c1 = extract_subsequence(RolewiczMultiple(2.0), x, cfg1)
-    c4 = extract_subsequence(RolewiczMultiple(2.0), x, cfg4)
-    assert c1.indices == c4.indices
-    assert c1.distances == c4.distances
 
 
 def test_scale_equivariance():
@@ -281,3 +288,43 @@ def test_builder_pipeline_at_lp_norms(spec, N):
     report = verify_certificate(cert, T, built.x)
     assert report.ok, report.message
     assert report.max_rel_deviation <= 1e-8
+
+
+def test_scan_scores_each_power_once(monkeypatch):
+    # README pipeline: the run rejects n = 11, so powers 2..n_K are each
+    # scored once, and the orbit is generated once (plus Tx in the rescale)
+    T = RolewiczMultiple(2.0)
+    built = build_supercyclic_vector(2.0, default_target_set(1024, count=8), 1024)
+    calls = {"scored": 0, "apply": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(extractor, "distance_if_extended",
+                        counted("scored", extractor.distance_if_extended))
+    counted_apply = counted("apply", operators.apply)
+    monkeypatch.setattr(operators, "apply", counted_apply)
+    monkeypatch.setattr(extractor, "apply", counted_apply)
+    cfg = ExtractionConfig(horizon=96, max_steps=16, theta=1.01)
+    cert = extract_subsequence(T, built.x, cfg)
+    n_K = cert.indices[-1]
+    assert 11 not in cert.indices and n_K > 11
+    assert calls["scored"] == n_K - 1
+    assert calls["apply"] == n_K + 1
+
+
+@pytest.mark.parametrize("count", range(6, 11))
+def test_verify_accepts_builder_certificates_at_p_1_5(count):
+    # at lam = 3 the raw orbit directions have condition numbers 5e3-4e4,
+    # on which the oracle's descent stopped at 1.5 against a true 1.49999966
+    spec = NormSpec(1.5)
+    T = RolewiczMultiple(3.0)
+    built = build_supercyclic_vector(3.0, default_target_set(256, count=count), 256, spec)
+    cfg = ExtractionConfig(horizon=96, max_steps=16, theta=1.01, norm_spec=spec)
+    cert = extract_subsequence(T, built.x, cfg)
+    report = verify_certificate(cert, T, built.x)
+    assert report.ok, report.message

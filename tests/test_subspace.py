@@ -99,6 +99,23 @@ def test_membership_gives_zero():
         assert distance_batch_oracle(inside, Y.generators, spec) <= 1e-8
 
 
+def test_oracle_ignores_dependent_generators():
+    # a repeated generator must not shrink the span at any p
+    s = 1.0 / math.sqrt(2.0)
+    v, w = np.array([1.0, 0.0, 0.0]), np.array([s, s, 0.0])
+    rng = np.random.default_rng(7)
+    points = [np.array([0.0, 1.0, 0.0]), 0.3 * v - 2.0 * w, rng.standard_normal(3)]
+    for spec in (L1, LINF, NormSpec(3.0)):
+        for e in points:
+            d = distance_batch_oracle(e, [v, v, w], spec)
+            assert d == pytest.approx(distance_batch_oracle(e, [v, w], spec), abs=1e-9)
+        assert distance_batch_oracle(points[0], [v, v, w], spec) == pytest.approx(0.0, abs=1e-9)
+        assert distance_batch_oracle(points[1], [v, v, w], spec) == pytest.approx(0.0, abs=1e-9)
+        assert distance_batch_oracle(points[2], [v, v, w], spec) == pytest.approx(
+            abs(points[2][2]), rel=1e-9
+        )
+
+
 def test_distance_if_extended_matches_extend():
     rng = np.random.default_rng(6)
     for spec in (L2, L1, LINF, NormSpec(2.5)):
