@@ -24,7 +24,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, OrbitgapError, UsageError
 from .extractor import ExtractionConfig, extract_subsequence, verify_certificate
-from .operators import BackwardShift, ForwardShift, RolewiczMultiple
+from .operators import BackwardShift, DenseMatrix, Diagonal, ForwardShift, RolewiczMultiple
 from .space import COMPLEX, REAL, NormSpec
 from .subspace import (
     SpanBasis,
@@ -140,6 +140,18 @@ def _require_file(path, what):
     return path
 
 
+def _read_decoded(path, what, decoders):
+    """Decode the record at path with decoders[kind]; a file that is not JSON,
+    a record of another kind, or one whose fields do not decode is a usage error."""
+    try:
+        rec = records.read_record(_require_file(path, what))
+        if rec["kind"] not in decoders:
+            raise UsageError(f"{path}: expected a {' or '.join(decoders)} record, got {rec['kind']!r}")
+        return decoders[rec["kind"]](rec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: malformed {what} record: {exc!r}") from None
+
+
 def _parse_operator(text, dim):
     if text is None:
         raise UsageError("missing --operator; example: --operator rolewicz:2")
@@ -154,16 +166,15 @@ def _parse_operator(text, dim):
         if dim is None:
             raise UsageError("backward-shift needs --dim for its unit weights")
         return BackwardShift.unit(dim)
-    if text.startswith("backward-shift:"):
-        path = _require_file(text.split(":", 1)[1], "weights")
-        return BackwardShift(weights=tuple(float(w) for w in records.decode_vector(records.read_record(path))))
-    if text.startswith("diagonal:") or text.startswith("dense:"):
-        kind, path = text.split(":", 1)
-        rec = records.read_record(_require_file(path, kind))
-        if kind == "diagonal":
-            return records.decode_operator({"type": "diagonal", "field": rec["field"], "d": rec["entries"]})
-        rows = rec["vectors"] if rec.get("kind") == "vectors" else rec["rows"]
-        return records.decode_operator({"type": "dense", "field": rec["field"], "rows": rows})
+    name, _, path = text.partition(":")
+    if name == "backward-shift" and path:
+        return _read_decoded(path, "weights", {
+            "vector": lambda rec: BackwardShift(weights=tuple(records.decode_vector(rec)))})
+    if name == "diagonal":
+        return _read_decoded(path, name, {"vector": lambda rec: Diagonal(d=records.decode_vector(rec))})
+    if name == "dense":
+        return _read_decoded(path, name, {
+            "vectors": lambda rec: DenseMatrix(entries=np.array(records.decode_vectors(rec)))})
     raise UsageError(f"unknown operator {text!r}; example: --operator rolewicz:2")
 
 
@@ -180,12 +191,8 @@ def _parse_inline_vector(text, field):
 
 
 def _load_vector_file(path):
-    rec = records.read_record(path)
-    if rec["kind"] == "vector":
-        return records.decode_vector(rec)
-    if rec["kind"] == "build":
-        return records.decode_build(rec).x
-    raise UsageError(f"{path}: record kind {rec['kind']!r} does not carry a vector")
+    return _read_decoded(path, "vector", {
+        "vector": records.decode_vector, "build": lambda rec: records.decode_build(rec).x})
 
 
 def _resolve_targets(ns, dim):
@@ -197,10 +204,7 @@ def _resolve_targets(ns, dim):
             count = int(str(ns.targets).split(":", 1)[1])
         eps = 1e-3 if ns.eps is None else float(ns.eps)
         return default_target_set(dim, count, eps)
-    rec = records.read_record(_require_file(ns.targets, "targets"))
-    if rec["kind"] != "targets":
-        raise UsageError(f"{ns.targets}: expected a targets record, got {rec['kind']!r}")
-    return records.decode_targets(rec)
+    return _read_decoded(ns.targets, "targets", {"targets": records.decode_targets})
 
 
 def _resolve_x(ns, T, dim):
@@ -255,10 +259,7 @@ def _cmd_extract(ns):
 
 
 def _cmd_verify(ns):
-    rec = records.read_record(_require_file(ns.record, "certificate"))
-    if rec["kind"] != "certificate":
-        raise UsageError(f"{ns.record}: expected a certificate record, got {rec['kind']!r}")
-    cert = records.decode_certificate(rec)
+    cert = _read_decoded(ns.record, "certificate", {"certificate": records.decode_certificate})
     T = cert.operator if ns.operator is None else _parse_operator(ns.operator, ns.dim)
     if ns.x is not None or isinstance(T, RolewiczMultiple) and ns.targets is not None:
         x = _resolve_x(ns, T, ns.dim or cert.scaled_x.shape[0])
@@ -319,10 +320,7 @@ def _cmd_dist(ns):
     if ns.span is not None:
         if ns.x is None:
             raise UsageError("missing vector source: --span needs --x as the point")
-        rec = records.read_record(_require_file(ns.span, "span"))
-        if rec["kind"] != "vectors":
-            raise UsageError(f"{ns.span}: expected a vectors record, got {rec['kind']!r}")
-        gens = records.decode_vectors(rec)
+        gens = _read_decoded(ns.span, "span", {"vectors": records.decode_vectors})
         e = _resolve_x(ns, None, ns.dim)
     elif ns.seed is not None:
         dim = ns.dim if ns.dim is not None else 16

@@ -31,7 +31,9 @@ class BackwardShift:
     weights: tuple
 
     def __post_init__(self):
-        w = tuple(complex(x) if isinstance(x, complex) else float(x) for x in self.weights)
+        if any(np.iscomplexobj(x) for x in self.weights):
+            raise ValueError("shift weights must be real")
+        w = tuple(float(x) for x in self.weights)
         if len(w) < 2:
             raise ValueError("weight list must cover at least dimension 2")
         for x in w:

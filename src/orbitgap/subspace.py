@@ -8,15 +8,13 @@ the ambient norm: span membership does not depend on the norm, only the
 distance value does.
 
 Distance routes, one table (_route_table), chosen by p and field:
-  p = 2                 least squares on the diagonally scaled columns
-  p in {1, inf}, real   exact dual linear program, solved by HiGHS
-  any other p or field  descent from the least-squares and zero starts
+  p = 2                    least squares on the diagonally scaled columns
+  p in {1, inf}, real      exact dual linear program, solved by HiGHS
+  p in {1, inf}, complex   SLSQP on the modulus cone (|r_j| is not linear)
+  any other p              L-BFGS from the least-squares and zero starts,
+                           complex coefficients stacked as (Re, Im) pairs
 distance() on the unweighted Euclidean norm skips the table: the residual
 against the orthonormal basis is already exact.
-
-For the complex field the absolute value of a residual coordinate is not
-expressible with linear constraints, so p in {1, inf} falls back to the
-descent path there; the exact LP route applies to the real field.
 
 distance_batch_oracle runs the same table with no incremental state and
 serves as ground truth in verification and tests: at p = 2 on the raw
@@ -178,15 +176,23 @@ def _pnorm_and_grad(rho, p):
 def _descent_smooth(e_hat, A, p, starts):
     """L-BFGS on the smooth objective ||e_hat - A a||_p, 1 < p < inf.
 
+    Complex columns take real coefficients stacked as [Re a, Im a].  There
+    g_j = (d/d Re r_j + i d/d Im r_j) ||r||_p, which _pnorm_and_grad returns
+    because np.sign(z) is z/|z|, and the gradient is -[Re(A^H g), Im(A^H g)].
     The objective is convex but loses second differentiability at zero
     residual coordinates when p < 2, so convergence is accepted when the
     solver reports success or when independent starts meet at one value.
     """
+    k = A.shape[1]
+    complex_field = np.iscomplexobj(A)
 
     def fun(a):
-        r = e_hat - A @ a
+        r = e_hat - A @ (a[:k] + 1j * a[k:] if complex_field else a)
         f, g = _pnorm_and_grad(r, p)
-        return f, -A.T @ g
+        if not complex_field:
+            return f, -A.T @ g
+        h = A.conj().T @ g
+        return f, -np.concatenate([h.real, h.imag])
 
     values = []
     any_ok = False
@@ -312,39 +318,15 @@ def _irls_l1_complex(rho0, M, n, iters=160):
     return beta
 
 
-def _power_chain_linf_complex(rho0, M, n, budget=300):
-    """Warm-started smooth p-power continuation toward the max of moduli."""
-    beta, *_ = np.linalg.lstsq(M, rho0, rcond=None)
-
-    def make_fun(pp):
-        def fun(b):
-            rho = rho0 - M @ b
-            m = np.sqrt(rho[:n] ** 2 + rho[n:] ** 2)
-            f, g = _pnorm_and_grad(m, pp)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = np.where(m > 0.0, g / m, 0.0)
-            h = np.concatenate([s * rho[:n], s * rho[n:]])
-            return f, -M.T @ h
-
-        return fun
-
-    for pp in (4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0):
-        res = minimize(make_fun(pp), beta, jac=True, method="L-BFGS-B",
-                       options={"maxiter": budget, "ftol": 1e-16, "gtol": 1e-12})
-        beta = res.x
-    return beta
-
-
 def _descent_complex(e_hat, A, p, starts, budget=800):
-    """Descent over complex coefficients via the real embedding.
+    """Complex l1 / linf distance via the real embedding, p in {1, inf}.
 
-    For smooth p the objective sum_j |r_j|^p is minimized directly.  For
-    p in {1, inf} the modulus cone |r_j| <= s_j is written with the smooth
-    constraint s_j^2 - |r_j|^2 >= 0, s_j >= 0 (the same convex set), and
-    SLSQP minimizes the linear objective over it; candidate starts from
-    IRLS (p = 1) or power continuation (p = inf) guard against stalls, and
-    every candidate is scored by its true objective, so the reported value
-    is the best certified upper bound among all routes.
+    The modulus cone |r_j| <= s_j is written with the smooth constraint
+    s_j^2 - |r_j|^2 >= 0, s_j >= 0 (the same convex set), and SLSQP
+    minimizes the linear objective over it from each start; at p = 1 an
+    IRLS point joins the starts to guard against stalls.  Every start and
+    every SLSQP result is scored by its true objective, so the reported
+    value is the best certified upper bound among them.
     """
     rho0, M, n, k = _complex_embedding(e_hat, A)
 
@@ -352,30 +334,17 @@ def _descent_complex(e_hat, A, p, starts, budget=800):
         rho = rho0 - M @ beta
         return rho, np.sqrt(rho[:n] ** 2 + rho[n:] ** 2)
 
+    def value_of(beta):
+        _, m = moduli(beta)
+        return float(m.max()) if p == math.inf else float(m.sum())
+
     # span membership does not depend on p; a zero l2 residual short-circuits
     # the cone solve, whose constraint gradients degenerate at zero
     coef0, *_ = np.linalg.lstsq(M, rho0, rcond=None)
     _, m0 = moduli(coef0)
     scale = max(1.0, float(np.abs(rho0).max()))
     if float(m0.max()) <= 1e-13 * scale:
-        return float(m0.max()) if p == math.inf else float((m0**p).sum() ** (1.0 / p))
-
-    if p not in (1.0, math.inf):
-
-        def fun(beta):
-            rho, m = moduli(beta)
-            f, g = _pnorm_and_grad(m, p)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = np.where(m > 0.0, g / m, 0.0)
-            h = np.concatenate([s * rho[:n], s * rho[n:]])
-            return f, -M.T @ h
-
-        values = []
-        for b0 in starts:
-            res = minimize(fun, b0, jac=True, method="L-BFGS-B",
-                           options={"maxiter": budget, "ftol": 1e-16, "gtol": 1e-12})
-            values.append(float(fun(res.x)[0]))
-        return max(min(values), 0.0)
+        return value_of(coef0)
 
     nslack = 1 if p == math.inf else n
     dim = 2 * k + nslack
@@ -394,7 +363,6 @@ def _descent_complex(e_hat, A, p, starts, budget=800):
         return t * t - m * m
 
     def cons_jac(z):
-        beta, s = split(z)
         rho, m, t = cone(z)
         dbeta = 2.0 * (rho[:n, None] * M[:n, :] + rho[n:, None] * M[n:, :])
         ds = np.zeros((n, nslack))
@@ -412,14 +380,8 @@ def _descent_complex(e_hat, A, p, starts, budget=800):
         g[2 * k :] = 1.0
         return g
 
-    def value_of(beta):
-        _, m = moduli(beta)
-        return float(m.max()) if p == math.inf else float(m.sum())
-
     candidates = list(starts)
-    if p == math.inf:
-        candidates.append(_power_chain_linf_complex(rho0, M, n))
-    else:
+    if p == 1.0:
         candidates.append(_irls_l1_complex(rho0, M, n))
 
     bounds = [(None, None)] * (2 * k) + [(0.0, None)] * nslack
@@ -446,7 +408,7 @@ def _descent_complex(e_hat, A, p, starts, budget=800):
 
 def _starts(e_hat, A):
     """Least-squares and zero start points; complex coefficients are stacked
-    as (real, imaginary) to match the real embedding."""
+    as (real, imaginary), the real vector both descents search over."""
     coef, *_ = np.linalg.lstsq(A, e_hat, rcond=None)
     if np.iscomplexobj(coef):
         coef = np.concatenate([coef.real, coef.imag])
@@ -457,11 +419,11 @@ def _route_table(e_hat, A, p) -> float:
     """min_a ||e_hat - A a||_p on columns prepared by _scaled_columns."""
     if p == 2.0:
         return _lstsq_distance(e_hat, A)
+    if p not in (1.0, math.inf):
+        return _descent_smooth(e_hat, A, p, _starts(e_hat, A))
     if np.iscomplexobj(A):
         return _descent_complex(e_hat, A, p, _starts(e_hat, A))
-    if p in (1.0, math.inf):
-        return _lp_distance(e_hat, A, p)
-    return _descent_smooth(e_hat, A, p, _starts(e_hat, A))
+    return _lp_distance(e_hat, A, p)
 
 
 def distance(e: np.ndarray, Y: SpanBasis, spec: NormSpec = L2) -> float:
@@ -556,8 +518,8 @@ def distance_convex_descent(e: np.ndarray, generators, spec: NormSpec = L2) -> f
         return norm(e, spec)
     e_hat, A = _scaled_columns(e, generators, spec)
     starts = _starts(e_hat, A)
+    if spec.p not in (1.0, math.inf):
+        return _descent_smooth(e_hat, A, spec.p, starts)
     if np.iscomplexobj(A):
         return _descent_complex(e_hat, A, spec.p, starts)
-    if spec.p in (1.0, math.inf):
-        return _descent_epigraph(e_hat, A, spec.p, starts)
-    return _descent_smooth(e_hat, A, spec.p, starts)
+    return _descent_epigraph(e_hat, A, spec.p, starts)

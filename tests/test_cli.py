@@ -187,3 +187,68 @@ def test_exit_codes(capsys, tmp_path):
     assert record["kind"] == "error"
     assert record["error"] == "ZeroOrbit"
     assert record["step"] == 3
+
+
+def _operator_files(tmp_path):
+    """Record files for every file-backed operator form, dimension 16."""
+    files = {
+        "weights": rec.encode_vector(np.full(16, 2.0)),
+        "complex-weights": rec.encode_vector(np.full(16, 2.0 + 1.0j)),
+        "diagonal": rec.encode_vector(np.arange(1.0, 17.0)),
+        "cyclic": rec.encode_vectors(list(np.roll(np.eye(16), 1, axis=0))),
+    }
+    for name, record in files.items():
+        rec.write_record(tmp_path / f"{name}.json", record)
+    return tmp_path
+
+
+@pytest.mark.parametrize("operator", [
+    "backward-shift", "backward-shift:weights", "diagonal:diagonal", "dense:cyclic",
+])
+def test_operator_forms_extract_and_verify(capsys, tmp_path, operator):
+    name, _, stem = operator.partition(":")
+    op = f"{name}:{_operator_files(tmp_path) / stem}.json" if stem else name
+    x = json.dumps([0.5 ** j for j in range(16)])
+    cert_path = tmp_path / "cert.json"
+    code, _, err = run_cli(
+        capsys, "extract", "--operator", op, "--dim", "16", "--x", x,
+        "--steps", "2", "--horizon", "8", "--out", str(cert_path),
+    )
+    assert code == 0, err
+    code, out, err = run_cli(capsys, "verify", str(cert_path), "--operator", op, "--dim", "16", "--x", x)
+    assert code == 0, err
+    assert out.startswith("PASS")
+
+
+@pytest.mark.parametrize("operator,message", [
+    ("backward-shift:complex-weights", "shift weights must be real"),
+    ("diagonal:cyclic", "expected a vector record, got 'vectors'"),
+    ("dense:weights", "expected a vectors record, got 'vector'"),
+])
+def test_operator_record_errors_are_usage_errors(capsys, tmp_path, operator, message):
+    name, _, stem = operator.partition(":")
+    op = f"{name}:{_operator_files(tmp_path) / stem}.json"
+    x = json.dumps([0.5 ** j for j in range(16)])
+    code, _, err = run_cli(capsys, "extract", "--operator", op, "--dim", "16", "--x", x,
+                           "--steps", "2", "--horizon", "8")
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda record: record.pop("scaledX"), "KeyError('scaledX')"),
+    (lambda record: record["operator"].update(lam=0.5), "requires lam > 1"),
+])
+def test_verify_malformed_certificate_is_usage_error(capsys, tmp_path, edit, message):
+    cert_path = tmp_path / "cert.json"
+    code, _, err = run_cli(
+        capsys, "extract", "--operator", "rolewicz:2", "--dim", "256",
+        "--targets", "default:4", "--steps", "4", "--out", str(cert_path),
+    )
+    assert code == 0, err
+    record = json.loads(cert_path.read_text())
+    edit(record)
+    cert_path.write_text(json.dumps(record))
+    code, _, err = run_cli(capsys, "verify", str(cert_path))
+    assert code == 2
+    assert err.startswith("error:") and message in err

@@ -34,6 +34,10 @@ def test_weighted_backward_shift():
     assert np.array_equal(out[:3], np.array([3.0, 5.0, 7.0]))
     with pytest.raises(DimensionMismatch):
         apply(BackwardShift(weights=w), v)
+    # a certificate records real weights only, so complex ones are refused
+    for z in (2.0 + 1.0j, np.complex64(1.0), np.complex128(3.0)):
+        with pytest.raises(ValueError, match="must be real"):
+            BackwardShift(weights=w + (z,))
 
 
 def test_rolewicz_is_scaled_backward_shift():

@@ -179,14 +179,23 @@ def test_weighted_distance():
 
 
 def test_complex_distances():
+    # seeded dims 4-32 and ranks 1-7; each instance has a point off the span
+    # and one inside it, and all three routes must agree
     rng = np.random.default_rng(11)
-    for spec in (L2, L1, LINF, NormSpec(3.0)):
-        for _ in range(6):
-            Y = rand_span(rng, 8, 3, field="complex")
-            e = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-            a = distance(e, Y, spec)
-            b = distance_batch_oracle(e, Y.generators, spec)
-            assert a == pytest.approx(b, rel=1e-7, abs=1e-9)
+    for spec in (L2, L1, LINF, NormSpec(1.5), NormSpec(3.0)):
+        for _ in range(8):
+            dim, rank = int(rng.integers(4, 33)), int(rng.integers(1, 8))
+            Y = rand_span(rng, dim, rank, field="complex")
+            coef = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
+            inside = sum(c * g for c, g in zip(coef, Y.generators))
+            outside = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            for e in (outside, inside):
+                a = distance(e, Y, spec)
+                b = distance_batch_oracle(e, Y.generators, spec)
+                c = distance_convex_descent(e, Y.generators, spec)
+                assert a == pytest.approx(b, rel=1e-7, abs=1e-9), (spec, dim, rank)
+                assert a == pytest.approx(c, rel=1e-6, abs=1e-9), (spec, dim, rank)
+            assert a <= 1e-9, (spec, dim, rank)
 
 
 def test_complex_l2_hand_value():
