@@ -141,14 +141,20 @@ def _require_file(path, what):
 
 
 def _read_decoded(path, what, decoders):
-    """Decode the record at path with decoders[kind]; a file that is not JSON,
-    a record of another kind, or one whose fields do not decode is a usage error."""
+    """Decode the record at path with decoders[kind].
+
+    A file that is not JSON, a record of another kind, a missing field
+    (KeyError) or a value that the decoder or the object it builds refuses
+    (ValueError: the operator and certificate constructors validate their
+    fields that way) is a usage error; any other exception is a defect and
+    keeps its traceback.
+    """
     try:
         rec = records.read_record(_require_file(path, what))
         if rec["kind"] not in decoders:
             raise UsageError(f"{path}: expected a {' or '.join(decoders)} record, got {rec['kind']!r}")
         return decoders[rec["kind"]](rec)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise UsageError(f"{path}: malformed {what} record: {exc!r}") from None
 
 

@@ -162,24 +162,24 @@ def _lp_distance(e_hat, A, p):
 
 
 def _pnorm_and_grad(rho, p):
-    """Stable ||rho||_p and the per-entry derivative d||rho||_p / d rho_j."""
+    """Stable ||rho||_p and g_j = (d/d Re rho_j + i d/d Im rho_j) ||rho||_p;
+    the unit phase rho_j / |rho_j| in g is exactly +-1 for a real entry."""
     a = np.abs(rho)
     m = float(a.max())
     if m == 0.0:
         return 0.0, np.zeros_like(a)
     f = m * float(((a / m) ** p).sum() ** (1.0 / p))
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(a > 0.0, np.sign(rho) * (a / f) ** (p - 1.0), 0.0)
+        g = np.where(a > 0.0, rho / a * (a / f) ** (p - 1.0), 0.0)
     return f, g
 
 
 def _descent_smooth(e_hat, A, p, starts):
     """L-BFGS on the smooth objective ||e_hat - A a||_p, 1 < p < inf.
 
-    Complex columns take real coefficients stacked as [Re a, Im a].  There
-    g_j = (d/d Re r_j + i d/d Im r_j) ||r||_p, which _pnorm_and_grad returns
-    because np.sign(z) is z/|z|, and the gradient is -[Re(A^H g), Im(A^H g)].
-    The objective is convex but loses second differentiability at zero
+    Complex columns take real coefficients stacked as [Re a, Im a], and the
+    gradient is -[Re(A^H g), Im(A^H g)] with g from _pnorm_and_grad.  The
+    objective is convex but loses second differentiability at zero
     residual coordinates when p < 2, so convergence is accepted when the
     solver reports success or when independent starts meet at one value.
     """
@@ -193,6 +193,13 @@ def _descent_smooth(e_hat, A, p, starts):
             return f, -A.T @ g
         h = A.conj().T @ g
         return f, -np.concatenate([h.real, h.imag])
+
+    if complex_field:
+        # starts[0] is the least-squares point; inside the span the gradient
+        # stays O(1) at zero residual and L-BFGS would spend its whole budget
+        r0 = e_hat - A @ (starts[0][:k] + 1j * starts[0][k:])
+        if float(np.abs(r0).max()) <= 1e-13 * max(1.0, float(np.abs(e_hat).max())):
+            return _pnorm_and_grad(r0, p)[0]
 
     values = []
     any_ok = False
@@ -285,19 +292,6 @@ def _descent_epigraph(e_hat, A, p, starts, budget=500):
     return max(best, 0.0)
 
 
-def _complex_embedding(e_hat, A):
-    """Real stacking: residual pairs (Re r_j, Im r_j) over real coefficients."""
-    n, k = A.shape
-    M = np.block(
-        [
-            [A.real, -A.imag],
-            [A.imag, A.real],
-        ]
-    )
-    rho0 = np.concatenate([e_hat.real, e_hat.imag])
-    return rho0, M, n, k
-
-
 def _irls_l1_complex(rho0, M, n, iters=160):
     """Iteratively reweighted least squares for min sum_j |r_j|, complex r.
 
@@ -328,7 +322,10 @@ def _descent_complex(e_hat, A, p, starts, budget=800):
     every SLSQP result is scored by its true objective, so the reported
     value is the best certified upper bound among them.
     """
-    rho0, M, n, k = _complex_embedding(e_hat, A)
+    # real stacking: residual pairs (Re r_j, Im r_j) over real coefficients
+    n, k = A.shape
+    M = np.block([[A.real, -A.imag], [A.imag, A.real]])
+    rho0 = np.concatenate([e_hat.real, e_hat.imag])
 
     def moduli(beta):
         rho = rho0 - M @ beta

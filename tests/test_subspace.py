@@ -18,7 +18,7 @@ from orbitgap import (
     distance_if_extended,
     extend,
 )
-from orbitgap.subspace import DEPENDENCY_TOL
+from orbitgap.subspace import DEPENDENCY_TOL, _pnorm_and_grad
 from orbitgap.errors import DimensionMismatch
 
 
@@ -196,6 +196,24 @@ def test_complex_distances():
                 assert a == pytest.approx(b, rel=1e-7, abs=1e-9), (spec, dim, rank)
                 assert a == pytest.approx(c, rel=1e-6, abs=1e-9), (spec, dim, rank)
             assert a <= 1e-9, (spec, dim, rank)
+
+
+def test_pnorm_gradient_on_complex_residuals():
+    # the complex smooth descent follows g_j = (d/d Re + i d/d Im) ||rho||_p,
+    # checked here against central differences, including entries whose
+    # real or imaginary part is zero
+    rng = np.random.default_rng(5)
+    rho = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    rho[2], rho[3] = -0.7, 0.4j
+    h = 1e-7
+    for p in (1.5, 3.0):
+        _, g = _pnorm_and_grad(rho, p)
+        for j in range(6):
+            step = np.zeros(6, dtype=complex)
+            step[j] = h
+            d_re = (np.linalg.norm(rho + step, p) - np.linalg.norm(rho - step, p)) / (2 * h)
+            d_im = (np.linalg.norm(rho + 1j * step, p) - np.linalg.norm(rho - 1j * step, p)) / (2 * h)
+            assert g[j] == pytest.approx(complex(d_re, d_im), abs=1e-6), (p, j)
 
 
 def test_complex_l2_hand_value():
