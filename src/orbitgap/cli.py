@@ -2,7 +2,8 @@
 
 Exit contract: 0 success, 1 domain error (a structured error record goes
 to stderr) or verification failure, 2 usage and configuration errors.
-Flags override config-file values; unknown config keys are rejected.
+Flags override config-file values, which pass their flags' own type and
+choices; unknown config keys are rejected.
 Machine output is always the canonical record format from records.py;
 stdout carries a short human summary unless --format record is chosen.
 """
@@ -32,13 +33,6 @@ from .subspace import (
     distance_batch_oracle,
     distance_convex_descent,
 )
-
-_CONFIG_KEYS = {
-    "operator", "dim", "steps", "theta", "margin", "horizon", "norm", "field",
-    "targets", "x", "out", "seed", "eps", "strict-tol", "allow-deep",
-    "format", "span", "rank",
-}
-
 
 def _add_common(p):
     p.add_argument("--config", help="JSON file of defaults, overridden by flags")
@@ -82,11 +76,28 @@ def _build_parser():
     _add_common(p)
     p.add_argument("--span", help="vectors record file of span generators")
     p.add_argument("--rank", type=int, help="generator count for seeded instances (default 4)")
-    return top
+    return top, sub.choices
 
 
-def _merge_config(ns, config_text):
-    """File values fill in flags left unset; unknown keys are rejected."""
+def _config_value(action, key, value):
+    """value through its flag's own conversion and choices.  JSON values are
+    typed, so the conversion must keep them (16 for --steps, not "16"), and
+    a switch such as --allow-deep takes true or false."""
+    if action.nargs == 0 and isinstance(value, bool):
+        return action.const if value else None
+    try:
+        converted = (action.type or str)(value)
+    except (TypeError, ValueError):
+        converted = None
+    if action.nargs != 0 and not isinstance(value, bool) and converted == value and (
+            action.choices is None or converted in action.choices):
+        return converted
+    raise UsageError(f"config key {key!r}: {value!r} is not a valid value for --{key}")
+
+
+def _merge_config(ns, config_text, commands):
+    """File values fill in flags left unset.  A key is a long flag of some
+    command other than --config and --help; unknown keys are rejected."""
     if config_text is None:
         return
     try:
@@ -95,27 +106,27 @@ def _merge_config(ns, config_text):
         raise UsageError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(loaded, dict):
         raise UsageError('config file must be a JSON object, e.g. {"steps": 16}')
+    flags = {name: p._option_string_actions for name, p in commands.items()}
     for key, value in loaded.items():
-        if key not in _CONFIG_KEYS:
+        if key in ("config", "help") or not any("--" + key in f for f in flags.values()):
             raise UsageError(f'unknown config key {key!r}; example: {{"steps": 16}}')
-        attr = {"format": "fmt", "strict-tol": "strict_tol", "allow-deep": "allow_deep"}.get(
-            key, key.replace("-", "_")
-        )
-        if not hasattr(ns, attr):
+        action = flags[ns.command].get("--" + key)
+        if action is None:
             raise UsageError(f"config key {key!r} does not apply to this command")
-        if getattr(ns, attr) is None:
-            setattr(ns, attr, value)
+        if getattr(ns, action.dest) is None:
+            setattr(ns, action.dest, _config_value(action, key, value))
 
 
 def parse_config(argv, config_text=None):
     """argv -> populated namespace; flags beat config-file values."""
-    ns = _build_parser().parse_args(argv)
+    top, commands = _build_parser()
+    ns = top.parse_args(argv)
     if config_text is None and getattr(ns, "config", None):
         if not os.path.isfile(ns.config):
             raise UsageError(f"config file {ns.config} does not exist")
         with open(ns.config) as fh:
             config_text = fh.read()
-    _merge_config(ns, config_text)
+    _merge_config(ns, config_text, commands)
     return ns
 
 
@@ -202,13 +213,16 @@ def _load_vector_file(path):
 
 
 def _resolve_targets(ns, dim):
-    if ns.targets is None or str(ns.targets).startswith("default"):
+    if ns.targets is None or ns.targets.startswith("default"):
         if dim is None:
             raise UsageError("generated targets need --dim")
         count = 8
-        if ns.targets is not None and ":" in str(ns.targets):
-            count = int(str(ns.targets).split(":", 1)[1])
-        eps = 1e-3 if ns.eps is None else float(ns.eps)
+        if ns.targets is not None and ":" in ns.targets:
+            try:
+                count = int(ns.targets.split(":", 1)[1])
+            except ValueError:
+                raise UsageError(f"bad --targets {ns.targets!r}; example: --targets default:8") from None
+        eps = 1e-3 if ns.eps is None else ns.eps
         return default_target_set(dim, count, eps)
     return _read_decoded(ns.targets, "targets", {"targets": records.decode_targets})
 
@@ -333,8 +347,7 @@ def _cmd_dist(ns):
         rank = ns.rank if ns.rank is not None else 4
         rng = np.random.default_rng(ns.seed)
         gens = [rng.standard_normal(dim) for _ in range(rank)]
-        e = (_parse_inline_vector(ns.x, ns.field or REAL) if ns.x and not os.path.isfile(ns.x)
-             else _load_vector_file(ns.x) if ns.x else rng.standard_normal(dim))
+        e = rng.standard_normal(dim) if ns.x is None else _resolve_x(ns, None, dim)
     else:
         raise UsageError("dist needs --span <file> or --seed <n> to define the span")
     d_inc = distance(e, SpanBasis.from_vectors(gens), spec)

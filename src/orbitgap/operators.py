@@ -47,11 +47,6 @@ class BackwardShift:
     def unit(cls, length: int) -> "BackwardShift":
         return cls(weights=(1.0,) * length)
 
-    @classmethod
-    def from_rule(cls, rule, length: int) -> "BackwardShift":
-        """Materialize weights w_n = rule(n) for n = 0, ..., length-1."""
-        return cls(weights=tuple(rule(n) for n in range(length)))
-
 
 @dataclass(frozen=True)
 class RolewiczMultiple:
@@ -95,7 +90,7 @@ class Diagonal:
     d: tuple
 
     def __post_init__(self):
-        d = tuple(complex(x) if isinstance(x, complex) else float(x) for x in self.d)
+        d = tuple(complex(x) if np.iscomplexobj(x) else float(x) for x in self.d)
         for x in d:
             if not math.isfinite(abs(x)):
                 raise ValueError("diagonal entries must be finite")

@@ -38,29 +38,8 @@ from .dynamics import BuildPlanEntry, BuildResult, DensityRecord, DensityReport,
 from .extractor import Certificate, VerificationReport
 
 
-def _enc(x) -> str:
-    if isinstance(x, dict):
-        items = ",".join(f"{json.dumps(k)}:{_enc(v)}" for k, v in x.items())
-        return "{" + items + "}"
-    if isinstance(x, (list, tuple)):
-        return "[" + ",".join(_enc(v) for v in x) + "]"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError(f"non-finite float {x} has no canonical encoding here")
-        return repr(x)
-    if isinstance(x, str):
-        return json.dumps(x)
-    if x is None:
-        return "null"
-    raise TypeError(f"cannot canonically encode {type(x).__name__}")
-
-
 def canonical_text(record: dict) -> str:
-    return _enc(record) + "\n"
+    return json.dumps(record, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def dumps_record(record: dict) -> bytes:

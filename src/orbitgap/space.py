@@ -104,11 +104,6 @@ def zero_vector(dim: int, field: str = REAL) -> np.ndarray:
     return v
 
 
-def check_same_dim(u: np.ndarray, v: np.ndarray):
-    if u.shape[0] != v.shape[0]:
-        raise DimensionMismatch(f"dimensions differ: {u.shape[0]} vs {v.shape[0]}")
-
-
 def norm(v: np.ndarray, spec: NormSpec = L2) -> float:
     """Weighted l^p norm of v.  Returns 0 exactly when v is the zero vector."""
     a = np.abs(np.asarray(v))

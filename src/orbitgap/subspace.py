@@ -10,17 +10,18 @@ distance value does.
 Distance routes, one table (_route_table), chosen by p and field:
   p = 2                    least squares on the diagonally scaled columns
   p in {1, inf}, real      exact dual linear program, solved by HiGHS
-  p in {1, inf}, complex   SLSQP on the modulus cone (|r_j| is not linear)
-  any other p              L-BFGS from the least-squares and zero starts,
-                           complex coefficients stacked as (Re, Im) pairs
+  anything else            _descent: the least-squares residual's p-norm
+                           inside the span (either field), otherwise
+    p in {1, inf}, complex   SLSQP on the modulus cone (|r_j| is not linear)
+    any other p              L-BFGS on the smooth p-norm
 distance() on the unweighted Euclidean norm skips the table: the residual
 against the orthonormal basis is already exact.
 
 distance_batch_oracle runs the same table with no incremental state and
 serves as ground truth in verification and tests: at p = 2 on the raw
 generators, at any other p on a column-pivoted Householder QR basis of them.
-distance_convex_descent is the independent first-order route used to
-cross-check the LP values.
+distance_convex_descent runs _descent alone, and at real p in {1, inf} that
+is the independent route (SLSQP on the epigraph) which cross-checks the LP.
 """
 
 import math
@@ -194,13 +195,6 @@ def _descent_smooth(e_hat, A, p, starts):
         h = A.conj().T @ g
         return f, -np.concatenate([h.real, h.imag])
 
-    if complex_field:
-        # starts[0] is the least-squares point; inside the span the gradient
-        # stays O(1) at zero residual and L-BFGS would spend its whole budget
-        r0 = e_hat - A @ (starts[0][:k] + 1j * starts[0][k:])
-        if float(np.abs(r0).max()) <= 1e-13 * max(1.0, float(np.abs(e_hat).max())):
-            return _pnorm_and_grad(r0, p)[0]
-
     values = []
     any_ok = False
     for a0 in starts:
@@ -221,53 +215,30 @@ def _descent_smooth(e_hat, A, p, starts):
 
 
 def _descent_epigraph(e_hat, A, p, starts, budget=500):
-    """SLSQP on the epigraph form of the l1 / linf distance (real field)."""
+    """SLSQP on the epigraph form of the real l1 / linf distance: minimize
+    sum(t) over z = [a, t] with -t <= e_hat - A a <= t, where t is one slack
+    at linf (broadcast over the rows) and one per row at l1."""
     n, k = A.shape
-    if p == math.inf:
-        jac_lo = np.hstack([A, np.ones((n, 1))])
-        jac_hi = np.hstack([-A, np.ones((n, 1))])
-        cons = [
-            {"type": "ineq", "fun": lambda z: z[-1] - (e_hat - A @ z[:-1]), "jac": lambda z: jac_lo},
-            {"type": "ineq", "fun": lambda z: z[-1] + (e_hat - A @ z[:-1]), "jac": lambda z: jac_hi},
-        ]
+    slack = np.ones((n, 1)) if p == math.inf else np.eye(n)
+    jac_lo = np.hstack([A, slack])
+    jac_hi = np.hstack([-A, slack])
+    cons = [
+        {"type": "ineq", "fun": lambda z: z[k:] - (e_hat - A @ z[:k]), "jac": lambda z: jac_lo},
+        {"type": "ineq", "fun": lambda z: z[k:] + (e_hat - A @ z[:k]), "jac": lambda z: jac_hi},
+    ]
 
-        def objective(z):
-            return z[-1]
+    def objective(z):
+        return float(np.sum(z[k:]))
 
-        def obj_jac(z):
-            g = np.zeros_like(z)
-            g[-1] = 1.0
-            return g
+    def obj_jac(z):
+        g = np.zeros_like(z)
+        g[k:] = 1.0
+        return g
 
-        def lift(a0):
-            t0 = float(np.max(np.abs(e_hat - A @ a0))) * 1.001 + 1e-9
-            return np.concatenate([a0, [t0]])
-
-        def value_at(z):
-            return float(np.max(np.abs(e_hat - A @ z[:k])))
-
-    else:
-        jac_lo = np.hstack([A, np.eye(n)])
-        jac_hi = np.hstack([-A, np.eye(n)])
-        cons = [
-            {"type": "ineq", "fun": lambda z: z[k:] - (e_hat - A @ z[:k]), "jac": lambda z: jac_lo},
-            {"type": "ineq", "fun": lambda z: z[k:] + (e_hat - A @ z[:k]), "jac": lambda z: jac_hi},
-        ]
-
-        def objective(z):
-            return float(np.sum(z[k:]))
-
-        def obj_jac(z):
-            g = np.zeros_like(z)
-            g[k:] = 1.0
-            return g
-
-        def lift(a0):
-            s0 = np.abs(e_hat - A @ a0) * 1.001 + 1e-9
-            return np.concatenate([a0, s0])
-
-        def value_at(z):
-            return float(np.sum(np.abs(e_hat - A @ z[:k])))
+    def lift(a0):
+        t0 = np.abs(e_hat - A @ a0)
+        t0 = t0.max(keepdims=True) if p == math.inf else t0
+        return np.concatenate([a0, t0 * 1.001 + 1e-9])
 
     values = []
     any_ok = False
@@ -281,7 +252,7 @@ def _descent_epigraph(e_hat, A, p, starts, budget=500):
             options={"maxiter": budget, "ftol": 1e-14},
         )
         any_ok = any_ok or bool(res.success)
-        values.append(value_at(res.x))
+        values.append(norm(e_hat - A @ res.x[:k], NormSpec(p)))
     best = min(values)
     # SLSQP reports a linesearch stall (status 8) at tight ftol even when it
     # has reached the minimum; independent starts meeting at one value is the
@@ -334,14 +305,6 @@ def _descent_complex(e_hat, A, p, starts, budget=800):
     def value_of(beta):
         _, m = moduli(beta)
         return float(m.max()) if p == math.inf else float(m.sum())
-
-    # span membership does not depend on p; a zero l2 residual short-circuits
-    # the cone solve, whose constraint gradients degenerate at zero
-    coef0, *_ = np.linalg.lstsq(M, rho0, rcond=None)
-    _, m0 = moduli(coef0)
-    scale = max(1.0, float(np.abs(rho0).max()))
-    if float(m0.max()) <= 1e-13 * scale:
-        return value_of(coef0)
 
     nslack = 1 if p == math.inf else n
     dim = 2 * k + nslack
@@ -403,24 +366,33 @@ def _descent_complex(e_hat, A, p, starts, budget=800):
     return max(best, 0.0)
 
 
-def _starts(e_hat, A):
-    """Least-squares and zero start points; complex coefficients are stacked
-    as (real, imaginary), the real vector both descents search over."""
+def _descent(e_hat, A, p) -> float:
+    """min_a ||e_hat - A a||_p from the least-squares and zero starts, complex
+    coefficients stacked as (Re, Im).  A least-squares residual within
+    1e-13 * max(1, max|e_hat|) of zero puts e_hat in the span, whatever p:
+    its p-norm is returned, since there the p-norm's gradient stays O(1) and
+    the cone constraints degenerate, so no descent would settle."""
     coef, *_ = np.linalg.lstsq(A, e_hat, rcond=None)
+    r0 = e_hat - A @ coef
+    if float(np.abs(r0).max()) <= 1e-13 * max(1.0, float(np.abs(e_hat).max())):
+        return norm(r0, NormSpec(p))
     if np.iscomplexobj(coef):
         coef = np.concatenate([coef.real, coef.imag])
-    return [coef, np.zeros_like(coef)]
+    starts = [coef, np.zeros_like(coef)]
+    if p not in (1.0, math.inf):
+        return _descent_smooth(e_hat, A, p, starts)
+    if np.iscomplexobj(A):
+        return _descent_complex(e_hat, A, p, starts)
+    return _descent_epigraph(e_hat, A, p, starts)
 
 
 def _route_table(e_hat, A, p) -> float:
     """min_a ||e_hat - A a||_p on columns prepared by _scaled_columns."""
     if p == 2.0:
         return _lstsq_distance(e_hat, A)
-    if p not in (1.0, math.inf):
-        return _descent_smooth(e_hat, A, p, _starts(e_hat, A))
-    if np.iscomplexobj(A):
-        return _descent_complex(e_hat, A, p, _starts(e_hat, A))
-    return _lp_distance(e_hat, A, p)
+    if p in (1.0, math.inf) and not np.iscomplexobj(A):
+        return _lp_distance(e_hat, A, p)
+    return _descent(e_hat, A, p)
 
 
 def distance(e: np.ndarray, Y: SpanBasis, spec: NormSpec = L2) -> float:
@@ -507,16 +479,11 @@ def best_scalar(t: np.ndarray, u: np.ndarray, spec: NormSpec = L2):
 def distance_convex_descent(e: np.ndarray, generators, spec: NormSpec = L2) -> float:
     """First-order route to the same distance, independent of the LP.
 
-    Used to cross-check the exact LP values for p in {1, inf}; for smooth p
-    it coincides with the solver distance() already uses.
+    Runs _descent on the scaled generator columns for every p and field, so
+    it cross-checks the exact LP values for real p in {1, inf}; elsewhere it
+    is the solver distance() already uses, on other columns.
     """
     generators = list(generators)
     if not generators:
         return norm(e, spec)
-    e_hat, A = _scaled_columns(e, generators, spec)
-    starts = _starts(e_hat, A)
-    if spec.p not in (1.0, math.inf):
-        return _descent_smooth(e_hat, A, spec.p, starts)
-    if np.iscomplexobj(A):
-        return _descent_complex(e_hat, A, spec.p, starts)
-    return _descent_epigraph(e_hat, A, spec.p, starts)
+    return _descent(*_scaled_columns(e, generators, spec), spec.p)

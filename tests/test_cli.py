@@ -50,6 +50,23 @@ def test_config_file_fills_only_missing(tmp_path):
     assert ns.theta == 1.05  # file fills the gap
 
 
+@pytest.mark.parametrize("config,flags,message", [
+    ({"steps": "16"}, [], "config key 'steps'"),
+    ({"theta": "1.2"}, [], "config key 'theta'"),
+    ({"allow-deep": "no"}, [], "config key 'allow-deep'"),
+    (None, ["--targets", "default:abc"], "'default:abc'"),
+], ids=["steps-string", "theta-string", "allow-deep-no", "targets-count"])
+def test_bad_values_are_usage_errors(capsys, tmp_path, config, flags, message):
+    # config values pass the same conversion and choices as their flags
+    args = ["extract", "--operator", "rolewicz:2", "--dim", "64", *flags]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    code, _, err = run_cli(capsys, *args)
+    assert code == 2 and err.startswith("error:") and message in err
+
+
 def test_extract_verify_closure(capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     code, out, err = run_cli(

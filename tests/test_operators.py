@@ -66,6 +66,9 @@ def test_dense_and_diagonal():
     assert np.array_equal(apply(DenseMatrix(m), v), np.array([3.0, 2.0]))
     d = np.array([2.0, -1.0])
     assert np.array_equal(apply(Diagonal(d), v), np.array([4.0, -3.0]))
+    # every complex dtype keeps its imaginary part, complex64 included
+    dc = Diagonal(np.array([1 + 1j, 2j], dtype=np.complex64))
+    assert dc.d == (1 + 1j, 2j)
     with pytest.raises(DimensionMismatch):
         apply(DenseMatrix(m), np.zeros(3))
     with pytest.raises(DimensionMismatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orbitgap import L1, L2, LINF, NormSpec, norm
-from orbitgap.space import basis_vector, check_same_dim, combine, field_of, vector, zero_vector
+from orbitgap.space import basis_vector, combine, field_of, vector, zero_vector
 from orbitgap.errors import DimensionMismatch
 
 
@@ -82,8 +82,6 @@ def test_vector_constructors():
     assert v.dtype == np.float64
     with pytest.raises(DimensionMismatch):
         vector([1.0, 2.0], dim=3)
-    with pytest.raises(DimensionMismatch):
-        check_same_dim(np.zeros(2), np.zeros(3))
 
 
 def test_combine():

@@ -99,6 +99,28 @@ def test_membership_gives_zero():
         assert distance_batch_oracle(inside, Y.generators, spec) <= 1e-8
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_inside_span_points_skip_the_descent(monkeypatch, field):
+    # span membership is checked before any descent on either field, so no
+    # route may reach the optimizer for an O(1) point inside the span
+    def refuse(*args, **kwargs):
+        raise AssertionError("a descent ran on a point inside the span")
+
+    monkeypatch.setattr("orbitgap.subspace.minimize", refuse)
+    rng = np.random.default_rng(12)
+    for spec in (L1, NormSpec(1.5), NormSpec(3.0), LINF):
+        for _ in range(6):
+            dim, rank = int(rng.integers(4, 33)), int(rng.integers(1, 8))
+            Y = rand_span(rng, dim, rank, field)
+            coef = rng.standard_normal(rank)
+            if field == "complex":
+                coef = coef + 1j * rng.standard_normal(rank)
+            inside = sum(c * g for c, g in zip(coef, Y.generators))
+            assert distance(inside, Y, spec) <= 1e-10, (spec, dim, rank)
+            assert distance_batch_oracle(inside, Y.generators, spec) <= 1e-10, (spec, dim, rank)
+            assert distance_convex_descent(inside, Y.generators, spec) <= 1e-10, (spec, dim, rank)
+
+
 def test_oracle_ignores_dependent_generators():
     # a repeated generator must not shrink the span at any p
     s = 1.0 / math.sqrt(2.0)
