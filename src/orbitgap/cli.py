@@ -213,18 +213,16 @@ def _load_vector_file(path):
 
 
 def _resolve_targets(ns, dim):
-    if ns.targets is None or ns.targets.startswith("default"):
-        if dim is None:
-            raise UsageError("generated targets need --dim")
-        count = 8
-        if ns.targets is not None and ":" in ns.targets:
-            try:
-                count = int(ns.targets.split(":", 1)[1])
-            except ValueError:
-                raise UsageError(f"bad --targets {ns.targets!r}; example: --targets default:8") from None
-        eps = 1e-3 if ns.eps is None else ns.eps
-        return default_target_set(dim, count, eps)
-    return _read_decoded(ns.targets, "targets", {"targets": records.decode_targets})
+    name, colon, count = (ns.targets or "default").partition(":")
+    if name != "default":
+        return _read_decoded(ns.targets, "targets", {"targets": records.decode_targets})
+    if dim is None:
+        raise UsageError("generated targets need --dim")
+    try:
+        count = int(count) if colon else 8
+    except ValueError:
+        raise UsageError(f"bad --targets {ns.targets!r}; example: --targets default:8") from None
+    return default_target_set(dim, count, 1e-3 if ns.eps is None else ns.eps)
 
 
 def _resolve_x(ns, T, dim):

@@ -201,9 +201,9 @@ def density_check(
     """Best scalar orbit approximation of each target over n in [0, horizon].
 
     For each target the report records the first n attaining the minimum of
-    min over c of norm(c T^n x - t, spec); the inner minimum is closed-form
-    at p = 2 and a bounded convex scalar minimization otherwise.  A dying
-    orbit is not an error here: remaining powers are skipped and flagged.
+    min over c of norm(c T^n x - t, spec), scoring all targets per power in
+    one best_scalar call (closed-form at p = 2).  A dying orbit is not an
+    error here: remaining powers are skipped and flagged.
     """
     if not np.any(x):
         raise ConfigError("density check needs a nonzero x")
@@ -212,17 +212,18 @@ def density_check(
     if x.shape[0] != targets.dim:
         raise DimensionMismatch(f"x has dimension {x.shape[0]}, targets {targets.dim}")
 
-    best = [None] * len(targets.targets)
+    stack = np.stack(targets.targets)
+    best = [None] * len(stack)
+    best_err = np.full(len(stack), np.inf)
     exhausted_at = None
     for elem in orbit_stream(T, x, 0, horizon, spec):
         if isinstance(elem, ZeroOrbitMarker):
             exhausted_at = elem.n
             break
-        for j, t in enumerate(targets.targets):
-            gamma, err = best_scalar(t, elem.direction, spec)
-            if best[j] is None or err < best[j][2]:
-                c = gamma * math.exp(-elem.log_scale)
-                best[j] = (elem.n, c, err)
+        gamma, err = best_scalar(stack, elem.direction, spec)
+        for j in np.flatnonzero(err < best_err):  # strict: the first power wins ties
+            best[j] = (elem.n, gamma[j].item() * math.exp(-elem.log_scale), err[j].item())
+            best_err[j] = err[j]
     records = tuple(
         DensityRecord(target_index=j, best_n=b[0], best_c=b[1], error=b[2])
         for j, b in enumerate(best)

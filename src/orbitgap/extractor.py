@@ -38,6 +38,7 @@ from .subspace import (
     distance_batch_oracle,
     distance_if_extended,
     extend,
+    prefix_distances,
 )
 
 # extraction stays in the regime where the infinite-dimensional guarantee
@@ -278,9 +279,9 @@ def verify_certificate(cert: Certificate, T: OperatorSpec, x_original) -> Verifi
 
     Checks, in order: index shape (strictly increasing, n_1 = 1), the
     scaled vector against lambdaScale times the original, orbit
-    regeneration at the certified indices, every prefix distance against
-    the batch oracle (1e-8 relative), every distance above theta, and the
-    non-increasing ledger.  Structured report, never an exception.
+    regeneration at the certified indices, every prefix distance against the
+    batch oracle (1e-8 relative, all off one QR by prefix_distances), every
+    distance above theta, and the non-increasing ledger.  Never raises.
     """
     try:
         idx = list(cert.indices)
@@ -312,14 +313,8 @@ def verify_certificate(cert: Certificate, T: OperatorSpec, x_original) -> Verifi
         if missing:
             return _fail("orbit", f"orbit dies before certified index {missing[0]}")
 
-        recomputed = []
-        devs = []
-        for k in range(len(idx)):
-            gens = [directions[n] for n in idx[: k + 1]]
-            d = distance_batch_oracle(xp, gens, cert.norm_spec)
-            recomputed.append(d)
-            claimed = cert.distances[k]
-            devs.append(abs(d - claimed) / max(abs(claimed), 1e-300))
+        recomputed = prefix_distances(xp, [directions[n] for n in idx], cert.norm_spec)
+        devs = [abs(d - c) / max(abs(c), 1e-300) for d, c in zip(recomputed, cert.distances)]
         worst = max(devs)
         if worst > 1e-8:
             k_bad = devs.index(worst)

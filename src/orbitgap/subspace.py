@@ -20,6 +20,9 @@ against the orthonormal basis is already exact.
 distance_batch_oracle runs the same table with no incremental state and
 serves as ground truth in verification and tests: at p = 2 on the raw
 generators, at any other p on a column-pivoted Householder QR basis of them.
+prefix_distances gives the oracle's value at every prefix from one unpivoted
+QR of [A | e_hat] (||R[k:, K]|| at p = 2, the route table on Q[:, :k] else),
+and runs the oracle per prefix instead when a generator is dependent.
 distance_convex_descent runs _descent alone, and at real p in {1, inf} that
 is the independent route (SLSQP on the epigraph) which cross-checks the LP.
 """
@@ -438,28 +441,60 @@ def distance_batch_oracle(e: np.ndarray, generators, spec: NormSpec = L2) -> flo
     return _route_table(e_hat, A, spec.p)
 
 
+def prefix_distances(e: np.ndarray, generators, spec: NormSpec = L2) -> list:
+    """[distance_batch_oracle(e, generators[:k], spec) for k = 1..K] from one QR.
+
+    One unpivoted Householder QR of [A | e_hat] serves every prefix: at
+    p = 2 the k-th distance is ||R[k:, K]||, and at any other p the route
+    table runs on Q[:, :k].  A dropped zero column, K >= N or |R_ii| <=
+    DEPENDENCY_TOL (the columns are unit, so this is extend's test) falls
+    back to the oracle per prefix: a Householder step on a dependent column
+    would add to Q a direction that is not in the span.
+    """
+    generators = list(generators)
+    K = len(generators)
+    if K:
+        e_hat, A = _scaled_columns(e, generators, spec)
+        if A.shape[1] == K < A.shape[0]:
+            Q, R = qr(np.column_stack([A, e_hat]), mode="economic")
+            if np.abs(np.diag(R)[:K]).min() > DEPENDENCY_TOL:
+                if spec.p == 2.0:
+                    return np.hypot.accumulate(np.abs(R[:0:-1, K]))[::-1].tolist()
+                return [_route_table(e_hat, Q[:, :k], spec.p) for k in range(1, K + 1)]
+    return [distance_batch_oracle(e, generators[:k], spec) for k in range(1, K + 1)]
+
+
 def best_scalar(t: np.ndarray, u: np.ndarray, spec: NormSpec = L2):
     """Best single-vector approximation: argmin over c of norm(t - c u, spec).
 
-    Returns (c, error).  Closed form for p = 2; otherwise a bounded scalar
+    t is one target (N,) or a stack of targets (J, N).  Returns (c, error):
+    Python scalars for one target, length-J arrays for a stack.  Closed form
+    for p = 2, on every row at once; otherwise, row by row, a bounded scalar
     minimization of the convex profile, started at the l2 coefficient.  The
     competitive c = 0 bounds the optimum: |c| norm(u) <= 2 norm(t).
     """
-    if t.shape != u.shape:
+    rows = np.atleast_2d(t)
+    if t.ndim > 2 or rows.shape[1:] != u.shape:
         raise DimensionMismatch("target and direction have different dimensions")
+    if t.ndim == 2 and spec.p != 2.0:
+        c, err = zip(*(best_scalar(r, u, spec) for r in t))
+        return np.array(c), np.array(err)
     nu = norm(u, spec)
+    w = spec.weight_array(u.shape[0])
+    uw = u if w is None else w * u
+    if spec.p == 2.0:
+        # one pairwise sum per row, so a row's value does not depend on J
+        c = ((rows if w is None else w * rows) * uw.conj()).sum(axis=1)
+        c = c / float(np.real(np.vdot(uw, uw))) if nu > 0.0 else np.zeros(len(rows))
+        resid = rows - c[:, None] * u
+        err = np.linalg.norm(resid if w is None else w * resid, axis=1)
+        return (c[0].item(), err[0].item()) if t.ndim == 1 else (c, err)
     if nu == 0.0:
         return 0.0, norm(t, spec)
-    w = spec.weight_array(t.shape[0])
-    tw = t if w is None else w * t
-    uw = u if w is None else w * u
-    c2 = complex(np.vdot(uw, tw)) / float(np.real(np.vdot(uw, uw)))
-    if not (np.iscomplexobj(t) or np.iscomplexobj(u)):
-        c2 = c2.real
-    if spec.p == 2.0:
-        return c2, norm(t - c2 * u, spec)
 
     if np.iscomplexobj(t) or np.iscomplexobj(u):
+        tw = t if w is None else w * t
+        c2 = complex(np.vdot(uw, tw)) / float(np.real(np.vdot(uw, uw)))
 
         def f(ab):
             return norm(t - complex(ab[0], ab[1]) * u, spec)

@@ -161,6 +161,25 @@ def test_density_subcommand(capsys, tmp_path):
     assert "ok" in out
 
 
+def test_density_targets_file_named_like_default(capsys, tmp_path, monkeypatch):
+    # only "default" and "default:<count>" name the generated set; a record
+    # file whose name starts with "default" is read like any other
+    from orbitgap import TargetSet
+
+    monkeypatch.chdir(tmp_path)
+    target = TargetSet.uniform([np.array([0.0, 1.0, 0.0, 0.0])], 0.5)
+    rec.write_record("default_targets.json", rec.encode_targets(target))
+    code, out, err = run_cli(
+        capsys, "density", "--operator", "rolewicz:2", "--x", "[1,0.5,0.25,0]",
+        "--targets", "default_targets.json", "--horizon", "0", "--format", "record",
+    )
+    assert code == 0, err
+    records = json.loads(out)["records"]
+    assert len(records) == 1
+    assert records[0]["bestN"] == 0
+    assert records[0]["error"] == pytest.approx(np.sqrt(1.0 - 0.5**2 / 1.3125))
+
+
 def test_dist_span_mode(capsys, tmp_path):
     span_path = tmp_path / "span.json"
     gens = [basis_vector(1, 3).astype(float), np.array([0.0, 0.0, 2.0])]

@@ -4,18 +4,23 @@ import numpy as np
 import pytest
 
 from orbitgap import (
+    Diagonal,
     L1,
     L2,
     LINF,
     NormSpec,
     RolewiczMultiple,
     TargetSet,
+    ZeroOrbitMarker,
     apply,
+    best_scalar,
     build_supercyclic_vector,
     default_target_set,
     density_check,
     norm,
+    orbit_stream,
 )
+from orbitgap import dynamics
 from orbitgap.space import basis_vector
 from orbitgap.operators import BackwardShift
 from orbitgap.errors import (
@@ -208,3 +213,73 @@ def test_built_vector_density_meets_epsilons():
     report = density_check(RolewiczMultiple(2.0), res.x, ts, tail)
     for rec, eps in zip(report.records, ts.epsilons):
         assert rec.error <= eps
+
+
+def per_pair_density(T, x, targets, horizon, spec):
+    """(best_n, best_c, error) per target from one best_scalar call per (power, target)."""
+    best = [None] * len(targets.targets)
+    for elem in orbit_stream(T, x, 0, horizon, spec):
+        if isinstance(elem, ZeroOrbitMarker):
+            break
+        for j, t in enumerate(targets.targets):
+            gamma, err = best_scalar(t, elem.direction, spec)
+            if best[j] is None or err < best[j][2]:
+                best[j] = (elem.n, gamma * math.exp(-elem.log_scale), err)
+    return best
+
+
+def _weighted_case():
+    rng = np.random.default_rng(51)
+    ts = TargetSet.uniform([rng.standard_normal(24) for _ in range(5)], 1.0)
+    spec = NormSpec(2.0, tuple(rng.uniform(0.2, 4.0, 24)))
+    return RolewiczMultiple(2.0), rng.uniform(0.5, 1.5, 24), ts, 20, spec
+
+
+def _complex_case():
+    rng = np.random.default_rng(52)
+    draws = [rng.standard_normal(16) + 1j * rng.standard_normal(16) for _ in range(4)]
+    ts = TargetSet.uniform(draws, 1.0)
+    return RolewiczMultiple(1.5), rng.standard_normal(16) + 1j * rng.standard_normal(16), ts, 12, L2
+
+
+def _dying_case():
+    ts = TargetSet.uniform([basis_vector(0, 4), np.array([1.0, -1.0, 0.0, 0.0])], 1.0)
+    return RolewiczMultiple(2.0), np.array([1.0, 1.0, 0.0, 0.0]), ts, 10, L2
+
+
+def _tie_case():
+    # T^2 = I and x has unit norm exactly, so powers 1 and 3 give the same
+    # direction bit for bit: the first of them must win
+    ts = TargetSet.uniform([np.array([1.0, -1.0, 1.0, -0.9]), np.array([1.0, 1.0, 0.9, 1.0])], 1.0)
+    return Diagonal((1.0, -1.0, 1.0, -1.0)), np.full(4, 0.5), ts, 3, L2
+
+
+@pytest.mark.parametrize("case", [_weighted_case, _complex_case, _dying_case, _tie_case],
+                         ids=["weighted", "complex", "dying", "tie"])
+def test_density_matches_per_pair_reference(case):
+    T, x, ts, horizon, spec = case()
+    report = density_check(T, x, ts, horizon, spec)
+    for rec, (n, c, err) in zip(report.records, per_pair_density(T, x, ts, horizon, spec)):
+        assert rec.best_n == n
+        assert type(rec.best_c) is type(c) and type(rec.error) is float
+        assert abs(rec.best_c - c) <= 1e-15 * abs(c)
+        assert abs(rec.error - err) <= 1e-15 * err
+    if case is _tie_case:
+        assert [rec.best_n for rec in report.records] == [1, 0]
+    if case is _dying_case:
+        assert report.orbit_exhausted_at == 2
+
+
+def test_density_scores_all_targets_per_power(monkeypatch):
+    calls = []
+
+    def counted(t, u, spec):
+        calls.append(np.shape(t))
+        return best_scalar(t, u, spec)
+
+    monkeypatch.setattr(dynamics, "best_scalar", counted)
+    ts = default_target_set(256, count=8, epsilon=1e-3)
+    res = build_supercyclic_vector(2.0, ts, 256)
+    density_check(RolewiczMultiple(2.0), res.x, ts, 40)
+    assert len(calls) <= 41
+    assert calls[0] == (8, 256)

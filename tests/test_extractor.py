@@ -27,7 +27,7 @@ from orbitgap import (
     rescale_for_extraction,
     verify_certificate,
 )
-from orbitgap import extractor, operators
+from orbitgap import extractor, operators, subspace
 from orbitgap.space import basis_vector
 from orbitgap.errors import (
     ApproximationInfeasible,
@@ -315,6 +315,22 @@ def test_scan_scores_each_power_once(monkeypatch):
     assert 11 not in cert.indices and n_K > 11
     assert calls["scored"] == n_K - 1
     assert calls["apply"] == n_K + 1
+
+
+def test_verify_reads_every_prefix_from_one_qr(monkeypatch):
+    # independent L2 generators: the verifier never loops the batch oracle
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_certificate ran the per-prefix oracle")
+
+    T = RolewiczMultiple(2.0)
+    built = build_supercyclic_vector(2.0, default_target_set(1024, count=8), 1024)
+    cert = extract_subsequence(T, built.x, ExtractionConfig(horizon=96, max_steps=16, theta=1.01))
+    for module in (subspace, extractor):
+        monkeypatch.setattr(module, "distance_batch_oracle", refuse)
+    report = verify_certificate(cert, T, built.x)
+    assert report.ok, report.message
+    assert len(report.recomputed_distances) == 16
+    assert report.max_rel_deviation <= 1e-12
 
 
 @pytest.mark.parametrize("count", range(6, 11))

@@ -9,16 +9,23 @@ from orbitgap import (
     L1,
     L2,
     LINF,
+    ExtractionConfig,
     NormSpec,
+    RolewiczMultiple,
     SpanBasis,
     best_scalar,
+    build_supercyclic_vector,
+    default_target_set,
     distance,
     distance_batch_oracle,
     distance_convex_descent,
     distance_if_extended,
     extend,
+    extract_subsequence,
+    orbit_stream,
 )
-from orbitgap.subspace import DEPENDENCY_TOL, _pnorm_and_grad
+from orbitgap import subspace
+from orbitgap.subspace import DEPENDENCY_TOL, _pnorm_and_grad, prefix_distances
 from orbitgap.errors import DimensionMismatch
 
 
@@ -136,6 +143,75 @@ def test_oracle_ignores_dependent_generators():
         assert distance_batch_oracle(points[2], [v, v, w], spec) == pytest.approx(
             abs(points[2][2]), rel=1e-9
         )
+
+
+def oracle_prefixes(e, gens, spec):
+    return [distance_batch_oracle(e, gens[:k], spec) for k in range(1, len(gens) + 1)]
+
+
+@pytest.mark.parametrize("spec,rtol",
+                         [(L2, 1e-12), (NormSpec(3.0), 1e-6), (L1, 1e-9), (LINF, 1e-9)],
+                         ids=["l2", "p3", "l1", "linf"])
+def test_prefix_distances_on_builder_vectors(monkeypatch, spec, rtol):
+    # the verifier's inputs on the builder's vector, whose entries run from
+    # 1 down to ~1e-23 at N=128: the one-QR prefixes must match the oracle
+    # run on each prefix separately, without falling back to it
+    T = RolewiczMultiple(2.0)
+    x = build_supercyclic_vector(2.0, default_target_set(128, count=8), 128, spec).x
+    assert 0.0 < np.abs(x[x != 0]).min() < 1e-20
+    cfg = ExtractionConfig(horizon=96, max_steps=16, theta=1.01, norm_spec=spec)
+    cert = extract_subsequence(T, x, cfg)
+    stream = orbit_stream(T, cert.scaled_x, 1, cert.indices[-1], spec)
+    gens = [el.direction for el in stream if el.n in cert.indices]
+    expected = oracle_prefixes(cert.scaled_x, gens, spec)
+    monkeypatch.setattr(subspace, "distance_batch_oracle", None)
+    got = prefix_distances(cert.scaled_x, gens, spec)
+    assert got == pytest.approx(expected, rel=rtol, abs=0.0)
+
+
+@pytest.mark.parametrize("field", ["weighted", "complex"])
+def test_prefix_distances_weighted_and_complex_l2(monkeypatch, field):
+    rng = np.random.default_rng(41)
+    gens = list(rand_span(rng, 24, 8, "complex" if field == "complex" else "real").generators)
+    e = rng.standard_normal(24) + (1j * rng.standard_normal(24) if field == "complex" else 0.0)
+    spec = NormSpec(2.0, tuple(rng.uniform(0.1, 3.0, 24))) if field == "weighted" else L2
+    expected = oracle_prefixes(e, gens, spec)
+    monkeypatch.setattr(subspace, "distance_batch_oracle", None)
+    assert prefix_distances(e, gens, spec) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", [L2, L1, NormSpec(3.0)], ids=["l2", "l1", "p3"])
+def test_prefix_distances_dependent_generators_fall_back(monkeypatch, spec):
+    # a repeated generator leaves the span as it is, so every prefix must
+    # come from the oracle, not from a Householder step on a noise column
+    s = 1.0 / math.sqrt(2.0)
+    v, w = np.array([1.0, 0.0, 0.0, 0.0]), np.array([s, s, 0.0, 0.0])
+    e = np.array([0.3, -1.0, 2.0, 0.5])
+    expected = oracle_prefixes(e, [v, v, w], spec)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return distance_batch_oracle(*args)
+
+    monkeypatch.setattr(subspace, "distance_batch_oracle", counted)
+    assert prefix_distances(e, [v, v, w], spec) == expected
+    assert calls == [1, 2, 3]
+
+
+def test_prefix_distances_of_no_generators():
+    assert prefix_distances(np.ones(4), [], L2) == []
+    assert prefix_distances(np.ones(4), [], L1) == []
+
+
+def test_prefix_distances_with_as_many_generators_as_entries():
+    # K = N leaves no row of R for the point's residual: the oracle answers
+    rng = np.random.default_rng(43)
+    gens, e = [rng.standard_normal(3) for _ in range(3)], rng.standard_normal(3)
+    for spec in (L2, L1):
+        got = prefix_distances(e, gens, spec)
+        assert got == pytest.approx(oracle_prefixes(e, gens, spec), rel=1e-12, abs=1e-12)
+        assert got[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_distance_if_extended_matches_extend():
