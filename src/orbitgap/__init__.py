@@ -8,7 +8,6 @@ independent verifier recomputes every claim from scratch.
 """
 
 from .errors import (
-    ApproximationInfeasible,
     ConfigError,
     DimensionMismatch,
     EmptyTargets,
@@ -28,10 +27,8 @@ from .space import (
     REAL,
     NormSpec,
     basis_vector,
-    combine,
     norm,
     vector,
-    zero_vector,
 )
 from .operators import (
     BackwardShift,
@@ -69,8 +66,6 @@ from .extractor import (
     ExtractionConfig,
     VerificationReport,
     extract_subsequence,
-    find_extension_with_target,
-    find_next_index,
     rescale_for_extraction,
     verify_certificate,
 )
@@ -78,7 +73,6 @@ from .extractor import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproximationInfeasible",
     "BackwardShift",
     "BuildPlanEntry",
     "BuildResult",
@@ -116,7 +110,6 @@ __all__ = [
     "basis_vector",
     "best_scalar",
     "build_supercyclic_vector",
-    "combine",
     "default_target_set",
     "density_check",
     "distance",
@@ -125,13 +118,10 @@ __all__ = [
     "distance_if_extended",
     "extend",
     "extract_subsequence",
-    "find_extension_with_target",
-    "find_next_index",
     "norm",
     "orbit_stream",
     "rescale_for_extraction",
     "vector",
     "verify_certificate",
-    "zero_vector",
     "__version__",
 ]

@@ -23,7 +23,7 @@ from .dynamics import (
     default_target_set,
     density_check,
 )
-from .errors import ConfigError, OrbitgapError, UsageError
+from .errors import ConfigError, DimensionMismatch, OrbitgapError, UsageError
 from .extractor import ExtractionConfig, extract_subsequence, verify_certificate
 from .operators import BackwardShift, DenseMatrix, Diagonal, ForwardShift, RolewiczMultiple
 from .space import COMPLEX, REAL, NormSpec
@@ -156,16 +156,16 @@ def _read_decoded(path, what, decoders):
 
     A file that is not JSON, a record of another kind, a missing field
     (KeyError) or a value that the decoder or the object it builds refuses
-    (ValueError: the operator and certificate constructors validate their
-    fields that way) is a usage error; any other exception is a defect and
-    keeps its traceback.
+    (ValueError or DimensionMismatch: space.vector and the operator and
+    certificate constructors validate their fields that way) is a usage
+    error; any other exception is a defect and keeps its traceback.
     """
     try:
         rec = records.read_record(_require_file(path, what))
         if rec["kind"] not in decoders:
             raise UsageError(f"{path}: expected a {' or '.join(decoders)} record, got {rec['kind']!r}")
         return decoders[rec["kind"]](rec)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, DimensionMismatch) as exc:
         raise UsageError(f"{path}: malformed {what} record: {exc!r}") from None
 
 
@@ -202,9 +202,12 @@ def _parse_inline_vector(text, field):
         raise UsageError(
             f"--x {text!r} is neither a file nor an inline JSON list; example: --x '[1,0,2]'"
         ) from None
-    if not isinstance(entries, list) or not entries:
-        raise UsageError("inline vector must be a nonempty JSON list")
-    return records.decode_vector({"kind": "vector", "field": field, "entries": entries})
+    if not isinstance(entries, list):
+        raise UsageError("inline vector must be a JSON list")
+    try:
+        return records.decode_vector({"kind": "vector", "field": field, "entries": entries})
+    except (ValueError, DimensionMismatch) as exc:
+        raise UsageError(f"bad inline vector --x {text!r}: {exc}") from None
 
 
 def _load_vector_file(path):

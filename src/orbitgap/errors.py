@@ -48,10 +48,6 @@ class HorizonExhausted(OrbitgapError):
         )
 
 
-class ApproximationInfeasible(OrbitgapError):
-    """No orbit multiple approximates the requested vector within epsilon."""
-
-
 class ConfigError(OrbitgapError):
     """Invalid run configuration (bad field values, violated safety ratio)."""
 

@@ -33,7 +33,7 @@ from .operators import (
     ForwardShift,
     RolewiczMultiple,
 )
-from .space import COMPLEX, REAL, NormSpec, field_of
+from .space import COMPLEX, REAL, NormSpec, field_of, vector
 from .dynamics import BuildPlanEntry, BuildResult, DensityRecord, DensityReport, TargetSet
 from .extractor import Certificate, VerificationReport
 
@@ -71,14 +71,13 @@ def encode_vector(v: np.ndarray) -> dict:
 
 
 def _vector_from(entries, field: str) -> np.ndarray:
+    """Decoded entries through space.vector's checks: json.loads lets NaN and Infinity in."""
     if field == COMPLEX:
-        v = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-    elif field == REAL:
-        v = np.array([float(a) for a in entries], dtype=np.float64)
-    else:
-        raise UsageError(f"unknown field {field!r}, expected real or complex")
-    v.flags.writeable = False
-    return v
+        try:
+            entries = [complex(re, im) for re, im in entries]
+        except (TypeError, ValueError):
+            raise ValueError("complex entries must be [re, im] pairs of numbers") from None
+    return vector(entries, field)
 
 
 def decode_vector(record: dict) -> np.ndarray:

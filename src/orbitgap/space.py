@@ -3,7 +3,8 @@
 Vectors are plain 1-D numpy arrays of length N >= 2, real (float64) or
 complex (complex128) depending on the run-level scalar field.  Every entry
 must be finite; mismatched dimensions are always errors, never silently
-padded or truncated.
+padded or truncated.  vector() enforces this, and every vector decoded from
+a record or the command line is built by it.
 
 A weighted norm scales entry i by weights[i] before taking the ordinary
 l^p norm, i.e. norm(v) = || (w_0 v_0, ..., w_{N-1} v_{N-1}) ||_p.  With
@@ -98,12 +99,6 @@ def basis_vector(i: int, dim: int, field: str = REAL) -> np.ndarray:
     return v
 
 
-def zero_vector(dim: int, field: str = REAL) -> np.ndarray:
-    v = np.zeros(dim, dtype=_DTYPES[field])
-    v.flags.writeable = False
-    return v
-
-
 def norm(v: np.ndarray, spec: NormSpec = L2) -> float:
     """Weighted l^p norm of v.  Returns 0 exactly when v is the zero vector."""
     a = np.abs(np.asarray(v))
@@ -121,24 +116,3 @@ def norm(v: np.ndarray, spec: NormSpec = L2) -> float:
     if m == 0.0:
         return 0.0
     return m * float(((a / m) ** spec.p).sum() ** (1.0 / spec.p))
-
-
-def combine(coeffs, vecs) -> np.ndarray:
-    """Linear combination sum_i coeffs[i] * vecs[i]."""
-    coeffs = list(coeffs)
-    vecs = list(vecs)
-    if len(coeffs) != len(vecs):
-        raise DimensionMismatch(
-            f"{len(coeffs)} coefficients for {len(vecs)} vectors"
-        )
-    if not vecs:
-        raise DimensionMismatch("combine needs at least one vector")
-    n = vecs[0].shape[0]
-    for v in vecs:
-        if v.shape[0] != n:
-            raise DimensionMismatch("vectors in a combination must share a dimension")
-    out = np.zeros(n, dtype=np.result_type(*(v.dtype for v in vecs), np.asarray(coeffs).dtype))
-    for c, v in zip(coeffs, vecs):
-        out = out + c * v
-    out.flags.writeable = False
-    return out

@@ -415,8 +415,6 @@ def distance(e: np.ndarray, Y: SpanBasis, spec: NormSpec = L2) -> float:
 
 def distance_if_extended(e: np.ndarray, Y: SpanBasis, v: np.ndarray, spec: NormSpec = L2) -> float:
     """distance(e, extend(Y, v), spec) without keeping the extended span."""
-    if v.shape[0] != Y.dim or e.shape[0] != Y.dim:
-        raise DimensionMismatch("dimension mismatch in what-if distance query")
     return distance(e, extend(Y, v), spec)
 
 

@@ -288,3 +288,31 @@ def test_verify_malformed_certificate_is_usage_error(capsys, tmp_path, edit, mes
     code, _, err = run_cli(capsys, "verify", str(cert_path))
     assert code == 2
     assert err.startswith("error:") and message in err
+
+
+_VECTOR_COMMANDS = {
+    "extract": ["--operator", "rolewicz:2", "--steps", "2", "--horizon", "3", "--allow-deep"],
+    "density": ["--operator", "rolewicz:2", "--targets", "default:2", "--horizon", "3"],
+    "dist": ["--seed", "1", "--dim", "4", "--rank", "1", "--norm", "l1"],
+}
+
+
+@pytest.mark.parametrize("source", ["inline", "file"])
+@pytest.mark.parametrize("field,entries,message", [
+    ("real", "[1, NaN, 0.5, 0.25]", "vector entries must be finite"),
+    ("real", "[Infinity, 1, 0.5, 0.25]", "vector entries must be finite"),
+    ("real", "[1]", "truncation dimension must be >= 2"),
+    ("complex", "[1, 0.5, 0.25, 0.125]", "[re, im] pairs"),
+], ids=["nan", "infinity", "short", "complex-unpaired"])
+@pytest.mark.parametrize("command", sorted(_VECTOR_COMMANDS))
+def test_invalid_vectors_are_usage_errors(capsys, tmp_path, command, field, entries, message,
+                                          source):
+    # json.loads accepts NaN and Infinity; every vector read goes through space.vector
+    x = entries
+    if source == "file":
+        x = tmp_path / "x.json"
+        x.write_text('{"kind":"vector","field":"%s","entries":%s}\n' % (field, entries))
+    code, _, err = run_cli(capsys, command, "--x", str(x), "--field", field,
+                           *_VECTOR_COMMANDS[command])
+    assert code == 2
+    assert err.startswith("error:") and message in err

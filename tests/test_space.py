@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orbitgap import L1, L2, LINF, NormSpec, norm
-from orbitgap.space import basis_vector, combine, field_of, vector, zero_vector
+from orbitgap.space import basis_vector, field_of, vector
 from orbitgap.errors import DimensionMismatch
 
 
@@ -76,18 +76,10 @@ def test_vector_constructors():
     assert field_of(np.zeros(3, dtype=complex)) == "complex"
     e = basis_vector(2, 5)
     assert e[2] == 1.0 and norm(e, L1) == 1.0
-    z = zero_vector(4, "complex")
-    assert z.dtype == np.complex128 and not np.any(z)
     v = vector([1, 2, 3])
     assert v.dtype == np.float64
     with pytest.raises(DimensionMismatch):
         vector([1.0, 2.0], dim=3)
-
-
-def test_combine():
-    vecs = [basis_vector(0, 3), basis_vector(1, 3)]
-    out = combine([2.0, -1.0], vecs)
-    assert np.array_equal(out, np.array([2.0, -1.0, 0.0]))
 
 
 def test_weight_array_dim_check():

@@ -95,6 +95,11 @@ def test_extend_dim_mismatch():
         extend(Y, np.zeros(4))
     with pytest.raises(DimensionMismatch):
         distance(np.zeros(4), Y)
+    # distance_if_extended relies on those two checks
+    with pytest.raises(DimensionMismatch):
+        distance_if_extended(np.zeros(3), Y, np.zeros(4))
+    with pytest.raises(DimensionMismatch):
+        distance_if_extended(np.zeros(4), Y, np.zeros(3))
 
 
 def test_membership_gives_zero():
