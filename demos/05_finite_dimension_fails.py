@@ -7,30 +7,34 @@ indices the span has swallowed everything and no candidate can keep the
 distance above theta.  The extractor surfaces this honestly as
 HorizonExhausted rather than quietly returning a short certificate.
 
-The safety ratio exists for the same reason: on a truncation of size N,
-certificates longer than N/8 start leaning on the truncation boundary,
-so deep runs must be requested explicitly.
+A shift on an 8-dimensional truncation is a different matter: it is a
+window onto l^p(N), and its certificates hold there, however many indices
+they have relative to N, as long as no orbit element leaves the window.
+apply checks exactly that: a forward shift that would push mass past the
+last coordinate raises TruncationTooSmall instead of dropping it.
 """
 
 import numpy as np
 
-from orbitgap import DenseMatrix, ExtractionConfig, extract_subsequence
-from orbitgap.errors import ConfigError, HorizonExhausted
+from orbitgap import DenseMatrix, ExtractionConfig, ForwardShift, extract_subsequence
+from orbitgap.errors import HorizonExhausted, TruncationTooSmall
+from orbitgap.space import basis_vector
+
+# The forward-shift orbit of e_0 is e_1, ..., e_7, then it would leave R^8.
+try:
+    extract_subsequence(ForwardShift(), basis_vector(0, 8), ExtractionConfig(horizon=120, max_steps=16))
+except TruncationTooSmall as err:
+    print("forward shift refused:", err)
 
 rng = np.random.default_rng(32)
 q, r = np.linalg.qr(rng.standard_normal((8, 8)))
 T = DenseMatrix(q * np.sign(np.diag(r)))  # a random rotation of R^8
 x = rng.standard_normal(8)
 
-# Asking for 16 indices in R^8 trips the safety ratio first.
+# A rotation never leaves R^8, so nothing is refused: the honest scan
+# exhausts the horizon once the span fills the space.
 try:
     extract_subsequence(T, x, ExtractionConfig(horizon=120, max_steps=16))
-except ConfigError as err:
-    print("safety refusal:", err)
-
-# Overriding it runs the honest scan, which exhausts the horizon.
-try:
-    extract_subsequence(T, x, ExtractionConfig(horizon=120, max_steps=16, allow_deep=True))
 except HorizonExhausted as err:
     print(f"extraction died at step {err.step}: no qualifying index in (n_{err.step - 1}, {err.horizon}]")
     assert err.step <= 9

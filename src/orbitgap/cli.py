@@ -59,7 +59,6 @@ def _build_parser():
     p.add_argument("--margin", type=float, help="rescale margin (default 0.5)")
     p.add_argument("--horizon", type=int, help="candidate cap (default dim)")
     p.add_argument("--strict-tol", dest="strict_tol", type=float, help="strictness slack (default 1e-9)")
-    p.add_argument("--allow-deep", dest="allow_deep", action="store_const", const=True, help="override the maxSteps <= N/8 safety ratio")
 
     p = sub.add_parser("verify", help="re-check a certificate from scratch")
     p.add_argument("record", help="certificate record file")
@@ -81,15 +80,12 @@ def _build_parser():
 
 def _config_value(action, key, value):
     """value through its flag's own conversion and choices.  JSON values are
-    typed, so the conversion must keep them (16 for --steps, not "16"), and
-    a switch such as --allow-deep takes true or false."""
-    if action.nargs == 0 and isinstance(value, bool):
-        return action.const if value else None
+    typed, so the conversion must keep them (16 for --steps, not "16")."""
     try:
         converted = (action.type or str)(value)
     except (TypeError, ValueError):
         converted = None
-    if action.nargs != 0 and not isinstance(value, bool) and converted == value and (
+    if not isinstance(value, bool) and converted == value and (
             action.choices is None or converted in action.choices):
         return converted
     raise UsageError(f"config key {key!r}: {value!r} is not a valid value for --{key}")
@@ -155,17 +151,17 @@ def _read_decoded(path, what, decoders):
     """Decode the record at path with decoders[kind].
 
     A file that is not JSON, a record of another kind, a missing field
-    (KeyError) or a value that the decoder or the object it builds refuses
-    (ValueError or DimensionMismatch: space.vector and the operator and
-    certificate constructors validate their fields that way) is a usage
-    error; any other exception is a defect and keeps its traceback.
+    (KeyError), a value of the wrong JSON type (TypeError) or one that the
+    decoder or the object it builds refuses (ValueError or DimensionMismatch:
+    space.vector and the operator and certificate constructors validate their
+    fields that way) is a usage error; any other exception keeps its traceback.
     """
     try:
         rec = records.read_record(_require_file(path, what))
         if rec["kind"] not in decoders:
             raise UsageError(f"{path}: expected a {' or '.join(decoders)} record, got {rec['kind']!r}")
         return decoders[rec["kind"]](rec)
-    except (KeyError, ValueError, DimensionMismatch) as exc:
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise UsageError(f"{path}: malformed {what} record: {exc!r}") from None
 
 
@@ -267,7 +263,6 @@ def _cmd_extract(ns):
         margin=0.5 if ns.margin is None else ns.margin,
         norm_spec=spec,
         strict_tol=1e-9 if ns.strict_tol is None else ns.strict_tol,
-        allow_deep=bool(ns.allow_deep),
     )
     cert = extract_subsequence(T, x, cfg)
     record = records.encode_certificate(cert)

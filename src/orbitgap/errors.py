@@ -23,7 +23,7 @@ class SolverFailure(OrbitgapError):
 
 
 class TruncationTooSmall(OrbitgapError):
-    """The truncation dimension cannot hold the requested construction."""
+    """The operator would move mass out of the truncation (a forward shift onto coordinate N)."""
 
 
 class EmptyTargets(OrbitgapError):
@@ -37,19 +37,16 @@ class LinearDependence(OrbitgapError):
 class HorizonExhausted(OrbitgapError):
     """No candidate power within the horizon passed the distance test."""
 
-    def __init__(self, n_start, horizon, message=None, step=None):
+    def __init__(self, n_start, horizon, step=None, detail=""):
         self.n_start = n_start
         self.horizon = horizon
         self.step = step
-        super().__init__(
-            message
-            or f"no qualifying index in ({n_start}, {horizon}]"
-            + (f" at step {step}" if step is not None else "")
-        )
+        at_step = "" if step is None else f" at step {step}"
+        super().__init__(f"no qualifying index in ({n_start}, {horizon}]{at_step}{detail}")
 
 
 class ConfigError(OrbitgapError):
-    """Invalid run configuration (bad field values, violated safety ratio)."""
+    """Invalid run configuration (a field out of range, or a theta step 1 cannot clear)."""
 
 
 class UsageError(OrbitgapError):

@@ -23,14 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, HorizonExhausted, LinearDependence, ZeroOrbit
+from .errors import ConfigError, HorizonExhausted, LinearDependence, TruncationTooSmall, ZeroOrbit
 from .operators import OperatorSpec, apply, orbit_stream, ZeroOrbitMarker
 from .space import NormSpec, L2, norm
 from .subspace import SpanBasis, distance, distance_if_extended, extend, prefix_distances
-
-# extraction stays in the regime where the infinite-dimensional guarantee
-# plausibly transfers to the truncation unless explicitly overridden
-SAFETY_RATIO = 8
 
 
 @dataclass(frozen=True)
@@ -41,7 +37,6 @@ class ExtractionConfig:
     margin: float = 0.5
     norm_spec: NormSpec = L2
     strict_tol: float = 1e-9
-    allow_deep: bool = False
 
     def __post_init__(self):
         if not (self.theta >= 1.0 and math.isfinite(self.theta)):
@@ -120,12 +115,6 @@ def extract_subsequence(T: OperatorSpec, x, cfg: ExtractionConfig) -> Certificat
     capped by the one before, so the last one certifies the final
     proper-span gap.
     """
-    N = x.shape[0]
-    if cfg.max_steps * SAFETY_RATIO > N and not cfg.allow_deep:
-        raise ConfigError(
-            f"maxSteps {cfg.max_steps} exceeds N/{SAFETY_RATIO} = {N // SAFETY_RATIO}; "
-            "the truncation guarantee degrades there (override to proceed)"
-        )
     lam, xp = rescale_for_extraction(x, T, cfg.norm_spec, cfg.margin)
 
     stream = orbit_stream(T, xp, 1, cfg.horizon, cfg.norm_spec)
@@ -141,21 +130,25 @@ def extract_subsequence(T: OperatorSpec, x, cfg: ExtractionConfig) -> Certificat
         )
     indices = [1]
     distances = [d1]
+    bar = cfg.theta + cfg.strict_tol
     while len(indices) < cfg.max_steps:
         step = len(indices) + 1
+        best = (-math.inf, None)  # the step's closest miss: (distance, n)
         for elem in stream:
             if isinstance(elem, ZeroOrbitMarker):
                 raise ZeroOrbit(
                     elem.n,
                     f"orbit died at power n={elem.n} before any candidate qualified "
-                    f"at step {step}",
+                    f"at step {step}" + _missed(best, bar),
                     step=step,
                 )
             d = distance_if_extended(xp, Y, elem.direction, cfg.norm_spec)
-            if d > cfg.theta + cfg.strict_tol:
+            if d > bar:
                 break
+            if d > best[0]:
+                best = (d, elem.n)
         else:
-            raise HorizonExhausted(indices[-1], cfg.horizon, step=step)
+            raise HorizonExhausted(indices[-1], cfg.horizon, step=step, detail=_missed(best, bar))
         Y = extend(Y, elem.direction)
         indices.append(elem.n)
         # nested spans: a value above its predecessor is solver noise
@@ -171,6 +164,11 @@ def extract_subsequence(T: OperatorSpec, x, cfg: ExtractionConfig) -> Certificat
     )
 
 
+def _missed(best, bar):
+    d, n = best
+    return "" if n is None else f"; best candidate n={n} at distance {d!r} <= theta + strictTol = {bar!r}"
+
+
 def _fail(check, message, devs=(), recomputed=()):
     return VerificationReport(
         ok=False,
@@ -184,11 +182,12 @@ def _fail(check, message, devs=(), recomputed=()):
 def verify_certificate(cert: Certificate, T: OperatorSpec, x_original) -> VerificationReport:
     """Recompute everything about a certificate from scratch.
 
-    Checks, in order: index shape (strictly increasing, n_1 = 1), the
-    scaled vector against lambdaScale times the original, orbit
-    regeneration at the certified indices, every prefix distance against the
-    batch oracle (1e-8 relative, all off one QR by prefix_distances), every
-    distance above theta, and the non-increasing ledger.  Never raises.
+    Checks, in order: index shape (strictly increasing, n_1 = 1), the scaled
+    vector against lambdaScale times the original, orbit regeneration at the
+    certified indices inside the truncation ("truncation"), every prefix
+    distance against the batch oracle (1e-8 relative, all off one QR by
+    prefix_distances), every distance above theta, and the non-increasing
+    ledger.  Never raises.
     """
     try:
         idx = list(cert.indices)
@@ -262,5 +261,7 @@ def verify_certificate(cert: Certificate, T: OperatorSpec, x_original) -> Verifi
             max_rel_deviation=worst,
             recomputed_distances=tuple(recomputed),
         )
+    except TruncationTooSmall as exc:
+        return _fail("truncation", str(exc))
     except Exception as exc:  # a malformed certificate must report, not raise
         return _fail("internal", f"{type(exc).__name__}: {exc}")

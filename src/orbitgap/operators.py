@@ -1,10 +1,10 @@
 """Operator models and orbit generation.
 
-All operators act on the N-dimensional truncation.  The shift boundary is
-fixed and documented: a backward shift reads coordinate n+1 and writes 0
-into coordinate N-1 (nothing flows in from beyond the truncation); a
-forward shift drops the coordinate that would leave past N-1.  Results are
-therefore exact whenever the active support stays below N.
+All operators act on the N-dimensional truncation, read as the vectors of
+l^p(N) supported on 0..N-1.  apply never loses mass: a backward shift writes
+0 into coordinate N-1, and a forward shift raises TruncationTooSmall on a
+vector whose last entry is nonzero.  So every orbit is exact in l^p(N),
+except that a dense matrix means something in R^N (or C^N) only.
 
 Orbits are stored renormalized: each element carries a unit-norm direction
 plus the natural log of ||T^n x||.  Norms of hypercyclic-type orbits grow
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, TruncationTooSmall
 from .space import NormSpec, L2, norm
 
 MAX_SHIFT_WEIGHT = 1e12
@@ -101,7 +101,7 @@ OperatorSpec = BackwardShift | RolewiczMultiple | ForwardShift | DenseMatrix | D
 
 
 def apply(T: OperatorSpec, v: np.ndarray) -> np.ndarray:
-    """Apply the operator once.  Linear in v; boundary rules as documented above."""
+    """Apply the operator once.  Linear in v; boundary rules and refusal as documented above."""
     n = v.shape[0]
     if isinstance(T, BackwardShift):
         if len(T.weights) < n:
@@ -115,6 +115,8 @@ def apply(T: OperatorSpec, v: np.ndarray) -> np.ndarray:
         out = np.zeros(n, dtype=v.dtype)
         out[:-1] = T.lam * v[1:]
     elif isinstance(T, ForwardShift):
+        if v[-1] != 0:
+            raise TruncationTooSmall(f"forward shift would move mass out of the truncation, N={n}")
         out = np.zeros(n, dtype=v.dtype)
         out[1:] = v[:-1]
     elif isinstance(T, DenseMatrix):

@@ -178,11 +178,14 @@ def encode_certificate(cert: Certificate) -> dict:
 
 
 def decode_certificate(record: dict) -> Certificate:
+    indices = record["indices"]
+    if not all(type(n) is int for n in indices):  # not int(n): that would read 2.5 or true as an index
+        raise ValueError(f"certificate indices must be JSON integers, got {indices!r}")
     return Certificate(
         scaled_x=decode_vector(record["scaledX"]),
         lambda_scale=float(record["lambdaScale"]),
         operator=decode_operator(record["operator"]),
-        indices=tuple(int(n) for n in record["indices"]),
+        indices=tuple(indices),
         distances=tuple(float(d) for d in record["distances"]),
         theta=float(record["theta"]),
         norm_spec=decode_norm_spec(record["normSpec"]),

@@ -57,9 +57,7 @@ def report(num, name, elapsed, budget):
 def test_criterion_1_orthonormal_orbit_exactness():
     t0 = time.perf_counter()
     x = basis_vector(0, 256).astype(float)
-    cfg = ExtractionConfig(
-        horizon=256, max_steps=64, theta=1.2, margin=0.5, allow_deep=True
-    )
+    cfg = ExtractionConfig(horizon=256, max_steps=64, theta=1.2, margin=0.5)
     cert = extract_subsequence(ForwardShift(), x, cfg)
     assert cert.indices == tuple(range(1, 65))
     for d in cert.distances:
@@ -130,7 +128,7 @@ def test_criterion_5_finite_dimensional_sanity():
     q, r = np.linalg.qr(rng.standard_normal((8, 8)))
     T = DenseMatrix(q * np.sign(np.diag(r)))
     x = rng.standard_normal(8)
-    cfg = ExtractionConfig(horizon=120, max_steps=16, allow_deep=True)
+    cfg = ExtractionConfig(horizon=120, max_steps=16)
     with pytest.raises(HorizonExhausted) as exc:
         extract_subsequence(T, x, cfg)
     assert exc.value.step <= 9

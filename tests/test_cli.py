@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
@@ -41,6 +43,26 @@ def test_workers_is_no_longer_an_option(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+def test_allow_deep_is_no_longer_an_option():
+    # no K/N ratio to override: apply refuses the one operator that loses mass
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", "--operator", "rolewicz:2", "--allow-deep"])
+    assert exc.value.code == 2
+
+
+def test_readme_commands_parse():
+    # a flag removed from the CLI cannot stay in README's command block
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [shlex.split(line)[1:] for line in readme.splitlines()
+                if line.startswith("orbitgap ")]
+    assert commands
+    for argv in commands:
+        try:
+            parse_config(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: orbitgap {shlex.join(argv)}")
+
+
 def test_config_file_fills_only_missing(tmp_path):
     ns = parse_config(
         ["extract", "--operator", "rolewicz:2", "--steps", "6"],
@@ -53,9 +75,9 @@ def test_config_file_fills_only_missing(tmp_path):
 @pytest.mark.parametrize("config,flags,message", [
     ({"steps": "16"}, [], "config key 'steps'"),
     ({"theta": "1.2"}, [], "config key 'theta'"),
-    ({"allow-deep": "no"}, [], "config key 'allow-deep'"),
+    ({"allow-deep": True}, [], "unknown config key 'allow-deep'"),
     (None, ["--targets", "default:abc"], "'default:abc'"),
-], ids=["steps-string", "theta-string", "allow-deep-no", "targets-count"])
+], ids=["steps-string", "theta-string", "allow-deep-true", "targets-count"])
 def test_bad_values_are_usage_errors(capsys, tmp_path, config, flags, message):
     # config values pass the same conversion and choices as their flags
     args = ["extract", "--operator", "rolewicz:2", "--dim", "64", *flags]
@@ -206,17 +228,20 @@ def test_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "extract", "--operator", "rolewicz:2")
     assert code == 2
     assert err.startswith("error:")
-    # safety refusal is a config error
+    # domain failure: a forward shift would push x[-1] out of the truncation
     code, _, err = run_cli(
-        capsys, "extract", "--operator", "rolewicz:2", "--dim", "16",
-        "--targets", "default:2", "--steps", "4",
+        capsys, "extract", "--operator", "forward-shift", "--x", "[1,0,0,1]",
+        "--steps", "2", "--horizon", "3",
     )
-    assert code == 2
+    assert code == 1
+    record = json.loads(err)
+    assert record["kind"] == "error"
+    assert record["error"] == "TruncationTooSmall"
     # domain failure: orbit dies -> canonical error record on stderr
     code, _, err = run_cli(
         capsys, "extract", "--operator", "rolewicz:2",
         "--x", "[1,0.5,0.25,0,0,0,0,0,0,0,0,0,0,0,0,0]",
-        "--steps", "3", "--horizon", "8", "--allow-deep",
+        "--steps", "3", "--horizon", "8",
     )
     assert code == 1
     record = json.loads(err)
@@ -274,6 +299,15 @@ def test_operator_record_errors_are_usage_errors(capsys, tmp_path, operator, mes
 @pytest.mark.parametrize("edit,message", [
     (lambda record: record.pop("scaledX"), "KeyError('scaledX')"),
     (lambda record: record["operator"].update(lam=0.5), "requires lam > 1"),
+    # a JSON value of the wrong type: float(None), iterating None, a dict of entries
+    (lambda record: record.update(lambdaScale=None), "TypeError("),
+    (lambda record: record.update(indices=None), "TypeError("),
+    (lambda record: record["normSpec"].update(p=None), "TypeError("),
+    (lambda record: record.update(distances=[None] * 4), "TypeError("),
+    (lambda record: record["scaledX"].update(entries={"0": 1.0}), "TypeError("),
+    # int() would read these as indices 2 and 1
+    (lambda record: record["indices"].__setitem__(1, 2.5), "must be JSON integers"),
+    (lambda record: record["indices"].__setitem__(1, True), "must be JSON integers"),
 ])
 def test_verify_malformed_certificate_is_usage_error(capsys, tmp_path, edit, message):
     cert_path = tmp_path / "cert.json"
@@ -291,7 +325,7 @@ def test_verify_malformed_certificate_is_usage_error(capsys, tmp_path, edit, mes
 
 
 _VECTOR_COMMANDS = {
-    "extract": ["--operator", "rolewicz:2", "--steps", "2", "--horizon", "3", "--allow-deep"],
+    "extract": ["--operator", "rolewicz:2", "--steps", "2", "--horizon", "3"],
     "density": ["--operator", "rolewicz:2", "--targets", "default:2", "--horizon", "3"],
     "dist": ["--seed", "1", "--dim", "4", "--rank", "1", "--norm", "l1"],
 }

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from orbitgap import (
+    BackwardShift,
     Certificate,
-    DenseMatrix,
     Diagonal,
     ExtractionConfig,
     ForwardShift,
@@ -33,16 +33,12 @@ from orbitgap.errors import (
     ConfigError,
     HorizonExhausted,
     LinearDependence,
+    TruncationTooSmall,
     ZeroOrbit,
 )
 
 
 DATA = pathlib.Path(__file__).parent / "data"
-
-
-def haar_orthogonal(rng, n):
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
 
 
 def test_config_validation():
@@ -100,13 +96,31 @@ def test_forward_shift_certificate_exact():
     assert report.ok, report.message
 
 
-def test_safety_ratio_gate():
+def test_forward_shift_window():
+    # K/N does not matter while the orbit stays inside the truncation...
     cfg = ExtractionConfig(horizon=300, max_steps=32)
-    with pytest.raises(ConfigError):
-        extract_subsequence(ForwardShift(), basis_vector(0, 128), cfg)
-    deep = dataclasses.replace(cfg, allow_deep=True)
-    cert = extract_subsequence(ForwardShift(), basis_vector(0, 128), deep)
-    assert len(cert.indices) == 32
+    cert = extract_subsequence(ForwardShift(), basis_vector(0, 128), cfg)
+    assert cert.indices == tuple(range(1, 33))
+    # ...and a run whose orbit reaches coordinate N-1 is refused, not truncated
+    with pytest.raises(TruncationTooSmall, match="N=128"):
+        extract_subsequence(ForwardShift(), basis_vector(100, 128), cfg)
+    # at N=64 this x verified with a last distance 0.18% below its l2(N) value
+    x = np.random.default_rng(5).standard_normal(64)
+    cfg = ExtractionConfig(horizon=60, max_steps=8, theta=1.01)
+    with pytest.raises(TruncationTooSmall):
+        extract_subsequence(ForwardShift(), x, cfg)
+    # a hand-built certificate whose orbit leaks fails its own named check
+    leaking = Certificate(
+        scaled_x=basis_vector(6, 8),
+        lambda_scale=1.0,
+        operator=ForwardShift(),
+        indices=(1, 2),
+        distances=(1.0, 1.0),
+        theta=1.0,
+        norm_spec=L2,
+    )
+    report = verify_certificate(leaking, ForwardShift(), basis_vector(6, 8))
+    assert report.failed_check == "truncation", report.message
 
 
 def test_theta_unreachable_at_step_one():
@@ -125,14 +139,62 @@ def test_orbit_death_reports_step():
     assert exc.value.step == 3
 
 
-def test_finite_dimension_exhausts_horizon():
-    rng = np.random.default_rng(32)
-    T = DenseMatrix(haar_orthogonal(rng, 8))
-    x = rng.standard_normal(8)
-    cfg = ExtractionConfig(horizon=120, max_steps=16, allow_deep=True)
+def test_failure_names_the_closest_miss():
+    # an honest ZeroOrbit: every step-4 candidate stays below theta, the
+    # best at n=21 (the seed-902 round-270 random-linf x of perfbench's nonl2)
+    x = rec.decode_vector(rec.read_record(DATA / "linf-short.x.json"))
+    cfg = ExtractionConfig(horizon=32, max_steps=4, theta=1.01, norm_spec=LINF)
+    with pytest.raises(ZeroOrbit) as exc:
+        extract_subsequence(RolewiczMultiple(2.0), x, cfg)
+    assert exc.value.step == 4
+    message = str(exc.value)
+    assert message.startswith("orbit died at power n=32 before any candidate qualified at step 4")
+    assert "best candidate n=21 at distance 1.00707978100" in message
+    assert "theta + strictTol = 1.010000001" in message
+    # a horizon below 21 ends the scan first; the best miss is then n=15
+    cfg = dataclasses.replace(cfg, horizon=20)
     with pytest.raises(HorizonExhausted) as exc:
-        extract_subsequence(T, x, cfg)
-    assert exc.value.step <= 9  # span saturates at the ambient dimension
+        extract_subsequence(RolewiczMultiple(2.0), x, cfg)
+    assert str(exc.value).startswith("no qualifying index in (3, 20] at step 4; best candidate n=15")
+
+
+def _pad(v):
+    return np.concatenate([v, np.zeros_like(v)])
+
+
+@pytest.mark.parametrize("name", ["rolewicz", "weighted-shift", "complex-diagonal"])
+def test_golden_certificates_hold_after_zero_padding(name):
+    # these operators map span{e_0..e_(N-1)} into itself, so a certificate
+    # is a statement in l^p(N): padding x to 2N and extending the weights or
+    # d arbitrarily must change nothing
+    cert = rec.decode_certificate(rec.read_record(DATA / f"{name}.cert.json"))
+    x = rec.decode_vector(rec.read_record(DATA / f"{name}.x.json"))
+    T = cert.operator
+    if isinstance(T, BackwardShift):
+        T = BackwardShift(weights=T.weights * 2)
+    elif isinstance(T, Diagonal):
+        T = Diagonal(d=T.d * 2)
+    padded = dataclasses.replace(cert, scaled_x=_pad(cert.scaled_x))
+    report = verify_certificate(padded, T, _pad(x))
+    assert report.ok, report.message
+    base = verify_certificate(cert, cert.operator, x)
+    assert report.recomputed_distances == pytest.approx(base.recomputed_distances, rel=1e-12)
+    cfg = ExtractionConfig(horizon=x.shape[0] - 1, max_steps=len(cert.indices),
+                           theta=cert.theta, norm_spec=cert.norm_spec)
+    again = extract_subsequence(T, _pad(x), cfg)
+    assert again.indices == cert.indices
+    assert again.distances == pytest.approx(cert.distances, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [L1, L2, NormSpec(3.0), LINF], ids=["l1", "l2", "l3", "linf"])
+def test_readme_pipeline_is_unchanged_by_zero_padding(spec):
+    T = RolewiczMultiple(2.0)
+    x = build_supercyclic_vector(2.0, default_target_set(256, count=8), 256).x
+    cfg = ExtractionConfig(horizon=96, max_steps=16, theta=1.01, norm_spec=spec)
+    a = extract_subsequence(T, x, cfg)
+    b = extract_subsequence(T, _pad(x), cfg)
+    assert a.indices == b.indices
+    assert b.distances == pytest.approx(a.distances, rel=1e-12)
 
 
 def test_index_at_the_horizon_exhausts_it():

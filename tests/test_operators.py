@@ -15,7 +15,7 @@ from orbitgap import (
 )
 from orbitgap.operators import OrbitElement, ZeroOrbitMarker
 from orbitgap.space import basis_vector
-from orbitgap.errors import DimensionMismatch
+from orbitgap.errors import DimensionMismatch, TruncationTooSmall
 
 
 def test_backward_shift_on_basis():
@@ -51,13 +51,19 @@ def test_rolewicz_is_scaled_backward_shift():
         RolewiczMultiple(1.0)
 
 
+def test_forward_shift_refuses_mass_at_the_boundary():
+    v = np.random.default_rng(1).standard_normal(16)
+    with pytest.raises(TruncationTooSmall, match="N=16"):
+        apply(ForwardShift(), v)
+
+
 def test_forward_shift_isometry():
-    rng = np.random.default_rng(1)
-    v = rng.standard_normal(16)
+    v = np.random.default_rng(1).standard_normal(16)
+    v[-1] = 0.0
     out = apply(ForwardShift(), v)
     assert out[0] == 0.0
     assert np.array_equal(out[1:], v[:-1])
-    assert float(np.linalg.norm(out[:-1])) <= float(np.linalg.norm(v))
+    assert float(np.linalg.norm(out)) == pytest.approx(float(np.linalg.norm(v)), rel=1e-15)
 
 
 def test_dense_and_diagonal():
