@@ -59,6 +59,15 @@ def read_record(path) -> dict:
     return loaded
 
 
+def _json_number(value, key: str, kind=float):
+    """kind(value) for a JSON number, or a JSON integer when kind is int:
+    float() and int() alone would read true as 1, "3" as 3 and 2.5 as 2."""
+    if type(value) is int or (kind is float and type(value) is float):
+        return kind(value)
+    name = "integers" if kind is int else "numbers"
+    raise TypeError(f"values of {key!r} must be JSON {name}, got {value!r}")
+
+
 def _entries(v: np.ndarray, field: str):
     if field == COMPLEX:
         return [[float(z.real), float(z.imag)] for z in v]
@@ -110,7 +119,7 @@ def encode_targets(targets: TargetSet) -> dict:
 
 def decode_targets(record: dict) -> TargetSet:
     vecs = [_vector_from(row, record["field"]) for row in record["targets"]]
-    return TargetSet(targets=tuple(vecs), epsilons=tuple(float(e) for e in record["epsilons"]))
+    return TargetSet(targets=tuple(vecs), epsilons=tuple(_json_number(e, "epsilons") for e in record["epsilons"]))
 
 
 def encode_norm_spec(spec: NormSpec) -> dict:
@@ -120,10 +129,9 @@ def encode_norm_spec(spec: NormSpec) -> dict:
 
 
 def decode_norm_spec(record: dict) -> NormSpec:
-    p = record["p"]
-    p = math.inf if p == "inf" else float(p)
+    p = math.inf if record["p"] == "inf" else _json_number(record["p"], "p")
     weights = record.get("weights")
-    return NormSpec(p=p, weights=None if weights is None else tuple(float(w) for w in weights))
+    return NormSpec(p=p, weights=None if weights is None else tuple(_json_number(w, "weights") for w in weights))
 
 
 def encode_operator(T) -> dict:
@@ -151,9 +159,9 @@ def encode_operator(T) -> dict:
 def decode_operator(record: dict):
     kind = record.get("type")
     if kind == "rolewicz":
-        return RolewiczMultiple(lam=float(record["lam"]))
+        return RolewiczMultiple(lam=_json_number(record["lam"], "lam"))
     if kind == "backward-shift":
-        return BackwardShift(weights=tuple(float(w) for w in record["weights"]))
+        return BackwardShift(weights=tuple(_json_number(w, "weights") for w in record["weights"]))
     if kind == "forward-shift":
         return ForwardShift()
     if kind == "diagonal":
@@ -178,16 +186,13 @@ def encode_certificate(cert: Certificate) -> dict:
 
 
 def decode_certificate(record: dict) -> Certificate:
-    indices = record["indices"]
-    if not all(type(n) is int for n in indices):  # not int(n): that would read 2.5 or true as an index
-        raise ValueError(f"certificate indices must be JSON integers, got {indices!r}")
     return Certificate(
         scaled_x=decode_vector(record["scaledX"]),
-        lambda_scale=float(record["lambdaScale"]),
+        lambda_scale=_json_number(record["lambdaScale"], "lambdaScale"),
         operator=decode_operator(record["operator"]),
-        indices=tuple(indices),
-        distances=tuple(float(d) for d in record["distances"]),
-        theta=float(record["theta"]),
+        indices=tuple(_json_number(n, "indices", int) for n in record["indices"]),
+        distances=tuple(_json_number(d, "distances") for d in record["distances"]),
+        theta=_json_number(record["theta"], "theta"),
         norm_spec=decode_norm_spec(record["normSpec"]),
     )
 
@@ -231,13 +236,13 @@ def decode_build(record: dict) -> BuildResult:
         x=decode_vector(record["x"]),
         plan=tuple(
             BuildPlanEntry(
-                target_index=int(p["targetIndex"]),
-                offset=int(p["offset"]),
-                bounded_error=float(p["boundedError"]),
+                target_index=_json_number(p["targetIndex"], "targetIndex", int),
+                offset=_json_number(p["offset"], "offset", int),
+                bounded_error=_json_number(p["boundedError"], "boundedError"),
             )
             for p in record["plan"]
         ),
-        lam=float(record["lam"]),
+        lam=_json_number(record["lam"], "lam"),
         norm_spec=decode_norm_spec(record["normSpec"]),
     )
 

@@ -23,8 +23,8 @@ generators, at any other p on a column-pivoted Householder QR basis of them.
 prefix_distances gives the oracle's value at every prefix from one unpivoted
 QR of [A | e_hat] (||R[k:, K]|| at p = 2, the route table on Q[:, :k] else),
 and runs the oracle per prefix instead when a generator is dependent.
-distance_convex_descent runs _descent alone, and at real p in {1, inf} that
-is the independent route (SLSQP on the epigraph) which cross-checks the LP.
+distance_convex_descent runs _descent on the raw columns, but at real p in
+{1, inf} it gives the Holder bound <e_hat, y> / ||y||_q of the LP's maximizer.
 """
 
 import math
@@ -148,21 +148,21 @@ def _lp_distance(e_hat, A, p):
     Vector Space Methods, 1969, 5.8).  With y = y_plus - y_minus >= 0 that
     is k equality rows; q = inf (p = 1) bounds y_plus, y_minus by 1, and
     q = 1 (p = inf) adds the row sum(y_plus + y_minus) + s = 1.  e_hat is
-    scaled to max-abs 1 first, because HiGHS's tolerances are absolute.
+    scaled to max-abs 1 first, as HiGHS's tolerances are absolute.  Returns (value, y).
     """
     n, k = A.shape
     scale = float(np.abs(e_hat).max())
     if scale == 0.0:
-        return 0.0
+        return 0.0, np.zeros(n)
     c = np.concatenate([-e_hat, e_hat]) / scale
     A_eq = np.hstack([A.T, -A.T])
     b_eq = np.zeros(k)
     if p == 1.0:
-        _, value = solve_standard_lp(c, A_eq, b_eq, upper=1.0)
+        z, value = solve_standard_lp(c, A_eq, b_eq, upper=1.0)
     else:
         A_eq = np.block([[A_eq, np.zeros((k, 1))], [np.ones((1, 2 * n + 1))]])
-        _, value = solve_standard_lp(np.append(c, 0.0), A_eq, np.append(b_eq, 1.0))
-    return max(-value * scale, 0.0)
+        z, value = solve_standard_lp(np.append(c, 0.0), A_eq, np.append(b_eq, 1.0))
+    return max(-value * scale, 0.0), z[:n] - z[n : 2 * n]
 
 
 def _pnorm_and_grad(rho, p):
@@ -214,55 +214,6 @@ def _descent_smooth(e_hat, A, p, starts):
     agree = len(values) > 1 and max(values) - best <= 1e-8 * max(1.0, best)
     if not (any_ok or agree):
         raise SolverFailure(f"descent (p={p}) missed tolerance within budget")
-    return max(best, 0.0)
-
-
-def _descent_epigraph(e_hat, A, p, starts, budget=500):
-    """SLSQP on the epigraph form of the real l1 / linf distance: minimize
-    sum(t) over z = [a, t] with -t <= e_hat - A a <= t, where t is one slack
-    at linf (broadcast over the rows) and one per row at l1."""
-    n, k = A.shape
-    slack = np.ones((n, 1)) if p == math.inf else np.eye(n)
-    jac_lo = np.hstack([A, slack])
-    jac_hi = np.hstack([-A, slack])
-    cons = [
-        {"type": "ineq", "fun": lambda z: z[k:] - (e_hat - A @ z[:k]), "jac": lambda z: jac_lo},
-        {"type": "ineq", "fun": lambda z: z[k:] + (e_hat - A @ z[:k]), "jac": lambda z: jac_hi},
-    ]
-
-    def objective(z):
-        return float(np.sum(z[k:]))
-
-    def obj_jac(z):
-        g = np.zeros_like(z)
-        g[k:] = 1.0
-        return g
-
-    def lift(a0):
-        t0 = np.abs(e_hat - A @ a0)
-        t0 = t0.max(keepdims=True) if p == math.inf else t0
-        return np.concatenate([a0, t0 * 1.001 + 1e-9])
-
-    values = []
-    any_ok = False
-    for a0 in starts:
-        res = minimize(
-            objective,
-            lift(a0),
-            jac=obj_jac,
-            constraints=cons,
-            method="SLSQP",
-            options={"maxiter": budget, "ftol": 1e-14},
-        )
-        any_ok = any_ok or bool(res.success)
-        values.append(norm(e_hat - A @ res.x[:k], NormSpec(p)))
-    best = min(values)
-    # SLSQP reports a linesearch stall (status 8) at tight ftol even when it
-    # has reached the minimum; independent starts meeting at one value is the
-    # convexity-backed acceptance for that case
-    agree = len(values) > 1 and max(values) - best <= 1e-9 * max(1.0, best)
-    if not (any_ok or agree):
-        raise SolverFailure(f"descent (p={p}) did not converge within budget")
     return max(best, 0.0)
 
 
@@ -370,8 +321,9 @@ def _descent_complex(e_hat, A, p, starts, budget=800):
 
 
 def _descent(e_hat, A, p) -> float:
-    """min_a ||e_hat - A a||_p from the least-squares and zero starts, complex
-    coefficients stacked as (Re, Im).  A least-squares residual within
+    """min_a ||e_hat - A a||_p at smooth p, or at p in {1, inf} on complex
+    columns (real ones take the LP), from the least-squares and zero starts,
+    complex coefficients stacked as (Re, Im).  A least-squares residual within
     1e-13 * max(1, max|e_hat|) of zero puts e_hat in the span, whatever p:
     its p-norm is returned, since there the p-norm's gradient stays O(1) and
     the cone constraints degenerate, so no descent would settle."""
@@ -384,9 +336,7 @@ def _descent(e_hat, A, p) -> float:
     starts = [coef, np.zeros_like(coef)]
     if p not in (1.0, math.inf):
         return _descent_smooth(e_hat, A, p, starts)
-    if np.iscomplexobj(A):
-        return _descent_complex(e_hat, A, p, starts)
-    return _descent_epigraph(e_hat, A, p, starts)
+    return _descent_complex(e_hat, A, p, starts)
 
 
 def _route_table(e_hat, A, p) -> float:
@@ -394,8 +344,15 @@ def _route_table(e_hat, A, p) -> float:
     if p == 2.0:
         return _lstsq_distance(e_hat, A)
     if p in (1.0, math.inf) and not np.iscomplexobj(A):
-        return _lp_distance(e_hat, A, p)
+        return _lp_distance(e_hat, A, p)[0]
     return _descent(e_hat, A, p)
+
+
+def _pivoted_basis(A):
+    """Pivoted-QR orthonormal basis of A's columns, cut at |R_ii| <= DEPENDENCY_TOL * |R_00|."""
+    Q, R, _ = qr(A, mode="economic", pivoting=True)
+    r = np.abs(np.diag(R))
+    return Q[:, : int(np.count_nonzero(r > DEPENDENCY_TOL * r[:1]))]
 
 
 def distance(e: np.ndarray, Y: SpanBasis, spec: NormSpec = L2) -> float:
@@ -432,10 +389,8 @@ def distance_batch_oracle(e: np.ndarray, generators, spec: NormSpec = L2) -> flo
     if not generators:
         return norm(e, spec)
     e_hat, A = _scaled_columns(e, generators, spec)
-    if spec.p != 2.0 and A.shape[1] > 0:
-        Q, R, _ = qr(A, mode="economic", pivoting=True)
-        r = np.abs(np.diag(R))
-        A = Q[:, : int(np.count_nonzero(r > DEPENDENCY_TOL * r[0]))]
+    if spec.p != 2.0:
+        A = _pivoted_basis(A)
     return _route_table(e_hat, A, spec.p)
 
 
@@ -510,13 +465,21 @@ def best_scalar(t: np.ndarray, u: np.ndarray, spec: NormSpec = L2):
 
 
 def distance_convex_descent(e: np.ndarray, generators, spec: NormSpec = L2) -> float:
-    """First-order route to the same distance, independent of the LP.
-
-    Runs _descent on the scaled generator columns for every p and field, so
-    it cross-checks the exact LP values for real p in {1, inf}; elsewhere it
-    is the solver distance() already uses, on other columns.
-    """
+    """Second route to the same distance, on the raw scaled columns: _descent,
+    except at real p in {1, inf}, where the dual LP's maximizer y, made
+    orthogonal to the span by a pivoted QR basis, bounds it below by
+    <e_hat, y> / ||y||_q (Holder), equal at the optimum.  Any such y is a
+    valid bound, so meeting the LP rules out a too-high LP value."""
     generators = list(generators)
     if not generators:
         return norm(e, spec)
-    return _descent(*_scaled_columns(e, generators, spec), spec.p)
+    e_hat, A = _scaled_columns(e, generators, spec)
+    if spec.p not in (1.0, math.inf) or np.iscomplexobj(A):
+        return _descent(e_hat, A, spec.p)
+    _, y = _lp_distance(e_hat, A, spec.p)
+    Q = _pivoted_basis(A)
+    y_off = y - Q @ (Q.T @ y)
+    if np.linalg.norm(y_off) <= DEPENDENCY_TOL * np.linalg.norm(y):
+        return 0.0  # y = 0, or in the span by extend's test: what is left is rounding
+    q = 1 if spec.p == math.inf else math.inf
+    return max(float(e_hat @ y_off) / float(np.linalg.norm(y_off, q)), 0.0)

@@ -10,6 +10,8 @@ from orbitgap.cli import main, parse_config
 from orbitgap.errors import UsageError
 from orbitgap.space import basis_vector
 
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -215,12 +217,14 @@ def test_dist_span_mode(capsys, tmp_path):
 
 
 def test_dist_seeded_routes_agree(capsys):
-    code, out, err = run_cli(capsys, "dist", "--seed", "5", "--norm", "l1", "--dim", "12", "--rank", "3")
-    assert code == 0, err
-    lines = [ln for ln in out.splitlines() if "spread" in ln]
-    assert lines
-    spread = float(lines[0].split()[-1])
-    assert spread < 1e-8
+    for norm in ("l1", "linf"):
+        code, out, err = run_cli(capsys, "dist", "--seed", "5", "--norm", norm, "--dim", "12", "--rank", "3")
+        assert code == 0, err
+        assert "descent" in out
+        lines = [ln for ln in out.splitlines() if "spread" in ln]
+        assert lines
+        spread = float(lines[0].split()[-1])
+        assert spread < 1e-12, (norm, spread)
 
 
 def test_exit_codes(capsys, tmp_path):
@@ -322,6 +326,43 @@ def test_verify_malformed_certificate_is_usage_error(capsys, tmp_path, edit, mes
     code, _, err = run_cli(capsys, "verify", str(cert_path))
     assert code == 2
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda record: record["plan"][0].update(offset=2.5),
+    lambda record: record["plan"][0].update(targetIndex=True),
+], ids=["offset-2.5", "targetIndex-true"])
+def test_build_record_refuses_non_integers(capsys, tmp_path, edit):
+    # int() would read these as offset 2 and target index 1
+    build_path = tmp_path / "build.json"
+    code, _, err = run_cli(capsys, "build", "--operator", "rolewicz:2", "--dim", "64",
+                           "--targets", "default:2", "--out", str(build_path))
+    assert code == 0, err
+    record = json.loads(build_path.read_text())
+    edit(record)
+    build_path.write_text(json.dumps(record))
+    code, _, err = run_cli(capsys, "extract", "--operator", "rolewicz:2", "--x", str(build_path),
+                           "--steps", "2", "--horizon", "8")
+    assert code == 2
+    assert err.startswith("error:") and "must be JSON integers" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda record: record["normSpec"].update(p=True),
+    lambda record: record["normSpec"].update(p="3"),
+    lambda record: record.update(theta=True),
+    lambda record: record["distances"].__setitem__(0, "1.5"),
+], ids=["p-true", "p-string", "theta-true", "distance-string"])
+def test_certificate_refuses_non_numbers(capsys, tmp_path, edit):
+    # float() would read true as L1 or theta = 1.0 and "3" as p = 3; the
+    # golden certificate claims theta = 1.01 and verifies as it is
+    record = json.loads((DATA / "rolewicz.cert.json").read_text())
+    edit(record)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(record))
+    code, _, err = run_cli(capsys, "verify", str(cert_path))
+    assert code == 2
+    assert err.startswith("error:") and "must be JSON numbers" in err
 
 
 _VECTOR_COMMANDS = {

@@ -251,7 +251,75 @@ def test_lp_vs_descent_real():
             e = rng.standard_normal(14)
             a = distance(e, Y, spec)
             c = distance_convex_descent(e, Y.generators, spec)
-            assert a == pytest.approx(c, rel=1e-6, abs=1e-8)
+            assert a == pytest.approx(c, rel=1e-12, abs=0.0)
+
+
+def _lp_witness_case(seed, dim, rank):
+    rng = np.random.default_rng([seed, dim])
+    gens = [rng.standard_normal(dim) for _ in range(rank)]
+    return rng.standard_normal(dim), gens
+
+
+@pytest.mark.parametrize("seed,dim,rank", [
+    (1590, 16, 4), (2199, 16, 4),
+    (409, 32, 8), (1210, 32, 8), (1435, 32, 8), (1928, 32, 8), (1997, 32, 8),
+])
+def test_lp_witness_on_draws_that_stall_slsqp(seed, dim, rank):
+    # real L1 draws on which SLSQP on the epigraph form does not converge
+    e, gens = _lp_witness_case(seed, dim, rank)
+    d = distance(e, SpanBasis.from_vectors(gens), L1)
+    assert distance_convex_descent(e, gens, L1) == pytest.approx(d, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", [L1, LINF], ids=["l1", "linf"])
+@pytest.mark.parametrize("witness", ["perturbed", "random", "unconstrained"])
+def test_lp_witness_never_exceeds_the_distance(monkeypatch, spec, witness):
+    # any y orthogonal to the span bounds the distance below (Holder), so a
+    # wrong maximizer from the LP can only make the cross-check read low;
+    # "unconstrained" is the maximizer for ||e_hat||_p itself, which would
+    # claim the whole norm if it were not projected off the span
+    rng = np.random.default_rng(44)
+    cases = [_lp_witness_case(s, dim, rank) for s in range(6) for dim, rank in ((16, 4), (40, 9))]
+    oracle = [distance_batch_oracle(e, gens, spec) for e, gens in cases]
+    lp_distance = subspace._lp_distance
+
+    def wrong(e_hat, A, p):
+        value, y = lp_distance(e_hat, A, p)
+        if witness == "perturbed":
+            return value, y + 0.3 * rng.standard_normal(y.shape[0])
+        if witness == "random":
+            return value, rng.standard_normal(y.shape[0])
+        if p == 1.0:
+            return value, np.sign(e_hat)
+        j = int(np.argmax(np.abs(e_hat)))
+        return value, np.sign(e_hat[j]) * np.eye(y.shape[0])[j]
+
+    monkeypatch.setattr(subspace, "_lp_distance", wrong)
+    for (e, gens), d in zip(cases, oracle):
+        assert distance_convex_descent(e, gens, spec) <= d + 1e-12 * np.linalg.norm(e, spec.p)
+
+
+def test_lp_witness_runs_no_descent(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a descent ran at real p in {1, inf}")
+
+    monkeypatch.setattr("orbitgap.subspace.minimize", refuse)
+    for spec in (L1, LINF):
+        for seed in range(5):
+            e, gens = _lp_witness_case(seed, 24, 6)
+            d = distance_batch_oracle(e, gens, spec)
+            assert d > 0.1
+            assert distance_convex_descent(e, gens, spec) == pytest.approx(d, rel=1e-12, abs=0.0)
+
+
+def test_lp_witness_with_dependent_generators():
+    # an unpivoted QR of [v, v, w] spends a column on a direction outside
+    # the span, which would project every witness to zero
+    s = 1.0 / math.sqrt(2.0)
+    v, w = np.array([1.0, 0.0, 0.0]), np.array([s, s, 0.0])
+    e = np.array([0.3, -1.0, 1.0])
+    for spec in (L1, LINF):
+        assert distance_convex_descent(e, [v, v, w], spec) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_general_p_between_neighbors():
@@ -407,3 +475,17 @@ def test_lp_distances_bracket_l2_on_dyadic_vectors(instance):
     assert dinf <= d2 + tol, (dinf, d2)
     assert d2 <= d1 + tol, (d2, d1)
     assert d1 <= root * d2 + tol, (d1, d2)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(dyadic_instances())
+def test_lp_witness_below_the_least_squares_residual(instance):
+    # the least-squares residual is a point of e + span, so its p-norm bounds
+    # the distance above with no solver involved
+    e, Y = instance
+    A = np.stack(Y.generators, axis=1)
+    coef, *_ = np.linalg.lstsq(A, e, rcond=None)
+    for p in (1.0, math.inf):
+        upper = float(np.linalg.norm(e - A @ coef, p))
+        witness = distance_convex_descent(e, Y.generators, NormSpec(p))
+        assert witness <= upper + 1e-15 * float(np.linalg.norm(e, p)), (p, witness, upper)
