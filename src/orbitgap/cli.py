@@ -202,7 +202,7 @@ def _parse_inline_vector(text, field):
         raise UsageError("inline vector must be a JSON list")
     try:
         return records.decode_vector({"kind": "vector", "field": field, "entries": entries})
-    except (ValueError, DimensionMismatch) as exc:
+    except (TypeError, ValueError, DimensionMismatch) as exc:
         raise UsageError(f"bad inline vector --x {text!r}: {exc}") from None
 
 

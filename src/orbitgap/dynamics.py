@@ -202,8 +202,8 @@ def density_check(
 
     For each target the report records the first n attaining the minimum of
     min over c of norm(c T^n x - t, spec), scoring all targets per power in
-    one best_scalar call (closed-form at p = 2).  A dying orbit is not an
-    error here: remaining powers are skipped and flagged.
+    one best_scalar call (it names its solver per p and field).  A dying
+    orbit is not an error here: remaining powers are skipped and flagged.
     """
     if not np.any(x):
         raise ConfigError("density check needs a nonzero x")

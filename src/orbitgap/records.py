@@ -80,12 +80,19 @@ def encode_vector(v: np.ndarray) -> dict:
 
 
 def _vector_from(entries, field: str) -> np.ndarray:
-    """Decoded entries through space.vector's checks: json.loads lets NaN and Infinity in."""
+    """Decoded entries through space.vector's checks: json.loads lets NaN and Infinity in.
+    Each entry, or part of a complex pair, must first pass _json_number's rule,
+    as np.asarray would read true as 1.0 and "3" as 3.0."""
+    parts = entries
     if field == COMPLEX:
         try:
-            entries = [complex(re, im) for re, im in entries]
+            parts = [x for re, im in entries for x in (re, im)]
         except (TypeError, ValueError):
             raise ValueError("complex entries must be [re, im] pairs of numbers") from None
+    if not {int, float}.issuperset(map(type, parts)):
+        raise TypeError("vector entries must be JSON numbers, not true, false, null or strings")
+    if field == COMPLEX:
+        entries = np.asarray(parts, dtype=np.float64).view(np.complex128)
     return vector(entries, field)
 
 

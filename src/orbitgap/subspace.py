@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
 from .errors import DimensionMismatch, SolverFailure
 from .simplex import solve_standard_lp
@@ -62,13 +62,11 @@ class SpanBasis:
         return cls(dim=dim, generators=(), ortho=Q, dependency_flags=())
 
     @classmethod
-    def from_vectors(cls, vecs, dim: int | None = None) -> "SpanBasis":
+    def from_vectors(cls, vecs) -> "SpanBasis":
         vecs = list(vecs)
-        if dim is None:
-            if not vecs:
-                raise DimensionMismatch("cannot infer dimension from an empty list")
-            dim = vecs[0].shape[0]
-        basis = cls.empty(dim)
+        if not vecs:
+            raise DimensionMismatch("cannot infer dimension from an empty list")
+        basis = cls.empty(vecs[0].shape[0])
         for v in vecs:
             basis = extend(basis, v)
         return basis
@@ -217,7 +215,7 @@ def _descent_smooth(e_hat, A, p, starts):
     return max(best, 0.0)
 
 
-def _irls_l1_complex(rho0, M, n, iters=160):
+def _irls_l1_complex(rho0, M, n):
     """Iteratively reweighted least squares for min sum_j |r_j|, complex r.
 
     Works in the real embedding; the smoothing delta is annealed so each
@@ -227,7 +225,7 @@ def _irls_l1_complex(rho0, M, n, iters=160):
     rho = rho0 - M @ beta
     m = np.sqrt(rho[:n] ** 2 + rho[n:] ** 2)
     delta = max(float(m.max()) * 0.1, 1e-12)
-    for _ in range(iters):
+    for _ in range(160):
         rho = rho0 - M @ beta
         m2 = rho[:n] ** 2 + rho[n:] ** 2
         w = np.sqrt(1.0 / np.sqrt(m2 + delta * delta))
@@ -237,7 +235,7 @@ def _irls_l1_complex(rho0, M, n, iters=160):
     return beta
 
 
-def _descent_complex(e_hat, A, p, starts, budget=800):
+def _descent_complex(e_hat, A, p, starts):
     """Complex l1 / linf distance via the real embedding, p in {1, inf}.
 
     The modulus cone |r_j| <= s_j is written with the smooth constraint
@@ -307,7 +305,7 @@ def _descent_complex(e_hat, A, p, starts, budget=800):
         z0 = np.concatenate([b0, s0 * 1.001 + 1e-9])
         res = minimize(objective, z0, jac=obj_jac, bounds=bounds,
                        constraints=[{"type": "ineq", "fun": cons_fun, "jac": cons_jac}],
-                       method="SLSQP", options={"maxiter": budget, "ftol": 1e-14})
+                       method="SLSQP", options={"maxiter": 800, "ftol": 1e-14})
         any_ok = any_ok or bool(res.success)
         values.append(value_of(split(res.x)[0]))
     ordered = sorted(values)
@@ -417,37 +415,64 @@ def prefix_distances(e: np.ndarray, generators, spec: NormSpec = L2) -> list:
     return [distance_batch_oracle(e, generators[:k], spec) for k in range(1, K + 1)]
 
 
+def _bisect_real(tw, uw, nu, p):
+    """argmin over real c of ||tw_j - c uw||_p for every row j at once; p != 2, nu = ||uw||_p > 0.
+
+    Only coordinates with uw_i != 0 depend on c, and there |c uw_i - tw_i| =
+    |uw_i| |c - a_i| with a = tw / uw: each profile is convex, so the sign of
+    a subgradient at c says on which side its minimizers lie.  They lie
+    between the extreme ratios and, c = 0 being competitive, within
+    2 ||tw||_1 / nu of 0; the profile is nu-Lipschitz, so 100 halvings leave
+    an excess of at most 4 ||tw||_1 2^-100.  The subgradient is
+    sum_i uw_i sgn(r_i) |r_i / R|^(p-1) with r = c uw - tw and R = max |r_i|:
+    the scale keeps the power in range, and leaves only the largest |r_i| at
+    p = inf.
+    """
+    keep = uw != 0.0
+    uk = uw[keep]
+    tk = tw[:, keep]
+    a = tk / uk
+    bound = 2.0 * np.abs(tw).sum(axis=1) / nu
+    lo = np.maximum(a.min(axis=1), -bound)
+    hi = np.minimum(a.max(axis=1), bound)
+    for _ in range(100):
+        c = 0.5 * (lo + hi)
+        r = c[:, None] * uk - tk
+        R = np.maximum(np.abs(r).max(axis=1, keepdims=True), np.finfo(float).tiny)
+        g = (uk * np.sign(r) * np.abs(r / R) ** (p - 1.0)).sum(axis=1)
+        hi = np.where(g > 0.0, c, hi)
+        lo = np.where(g > 0.0, lo, c)
+    return 0.5 * (lo + hi)
+
+
 def best_scalar(t: np.ndarray, u: np.ndarray, spec: NormSpec = L2):
     """Best single-vector approximation: argmin over c of norm(t - c u, spec).
 
     t is one target (N,) or a stack of targets (J, N).  Returns (c, error):
-    Python scalars for one target, length-J arrays for a stack.  Closed form
-    for p = 2, on every row at once; otherwise, row by row, a bounded scalar
-    minimization of the convex profile, started at the l2 coefficient.  The
-    competitive c = 0 bounds the optimum: |c| norm(u) <= 2 norm(t).
+    Python scalars for one target, length-J arrays for a stack.  Every row
+    at once in closed form at p = 2, and at any other p on the real field by
+    _bisect_real; complex rows at p != 2 take Nelder-Mead one at a time,
+    started at the l2 coefficient.
     """
     rows = np.atleast_2d(t)
     if t.ndim > 2 or rows.shape[1:] != u.shape:
         raise DimensionMismatch("target and direction have different dimensions")
-    if t.ndim == 2 and spec.p != 2.0:
+    complex_field = np.iscomplexobj(t) or np.iscomplexobj(u)
+    if t.ndim == 2 and spec.p != 2.0 and complex_field:
         c, err = zip(*(best_scalar(r, u, spec) for r in t))
         return np.array(c), np.array(err)
     nu = norm(u, spec)
     w = spec.weight_array(u.shape[0])
     uw = u if w is None else w * u
+    tw = rows if w is None else w * rows
     if spec.p == 2.0:
         # one pairwise sum per row, so a row's value does not depend on J
-        c = ((rows if w is None else w * rows) * uw.conj()).sum(axis=1)
+        c = (tw * uw.conj()).sum(axis=1)
         c = c / float(np.real(np.vdot(uw, uw))) if nu > 0.0 else np.zeros(len(rows))
         resid = rows - c[:, None] * u
         err = np.linalg.norm(resid if w is None else w * resid, axis=1)
-        return (c[0].item(), err[0].item()) if t.ndim == 1 else (c, err)
-    if nu == 0.0:
-        return 0.0, norm(t, spec)
-
-    if np.iscomplexobj(t) or np.iscomplexobj(u):
-        tw = t if w is None else w * t
-        c2 = complex(np.vdot(uw, tw)) / float(np.real(np.vdot(uw, uw)))
+    elif complex_field and nu > 0.0:
+        c2 = complex(np.vdot(uw, tw[0])) / float(np.real(np.vdot(uw, uw)))
 
         def f(ab):
             return norm(t - complex(ab[0], ab[1]) * u, spec)
@@ -456,12 +481,10 @@ def best_scalar(t: np.ndarray, u: np.ndarray, spec: NormSpec = L2):
                        options={"xatol": 1e-12, "fatol": 1e-13, "maxiter": 2000})
         c = complex(res.x[0], res.x[1])
         return c, norm(t - c * u, spec)
-
-    bound = 2.0 * norm(t, spec) / nu + 1e-12
-    res = minimize_scalar(lambda c: norm(t - c * u, spec), bounds=(-bound, bound),
-                          method="bounded", options={"xatol": 1e-13 * max(1.0, bound)})
-    c = float(res.x)
-    return c, norm(t - c * u, spec)
+    else:
+        c = _bisect_real(tw, uw, nu, spec.p) if nu > 0.0 else np.zeros(len(rows))
+        err = np.array([norm(r, spec) for r in rows - c[:, None] * u])
+    return (c[0].item(), err[0].item()) if t.ndim == 1 else (c, err)
 
 
 def distance_convex_descent(e: np.ndarray, generators, spec: NormSpec = L2) -> float:

@@ -378,7 +378,11 @@ _VECTOR_COMMANDS = {
     ("real", "[Infinity, 1, 0.5, 0.25]", "vector entries must be finite"),
     ("real", "[1]", "truncation dimension must be >= 2"),
     ("complex", "[1, 0.5, 0.25, 0.125]", "[re, im] pairs"),
-], ids=["nan", "infinity", "short", "complex-unpaired"])
+    # np.asarray and complex() would read these as 1.0, 3.0 and 1+0j
+    ("real", "[true, 0.5, 0.25, 0.125]", "must be JSON numbers"),
+    ("real", '[1, "3", 0.25, 0.125]', "must be JSON numbers"),
+    ("complex", "[[true, 0], [0.5, 0], [0.25, 0], [0.125, 0]]", "must be JSON numbers"),
+], ids=["nan", "infinity", "short", "complex-unpaired", "true", "string", "complex-true"])
 @pytest.mark.parametrize("command", sorted(_VECTOR_COMMANDS))
 def test_invalid_vectors_are_usage_errors(capsys, tmp_path, command, field, entries, message,
                                           source):

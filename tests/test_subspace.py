@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from orbitgap import (
     distance_if_extended,
     extend,
     extract_subsequence,
+    norm,
     orbit_stream,
 )
 from orbitgap import subspace
@@ -65,6 +67,11 @@ def test_orthonormality_and_flags():
     Q = np.array(Y.ortho)
     gram = Q.conj() @ Q.T
     assert np.allclose(gram, np.eye(3), atol=1e-12)
+
+
+def test_from_vectors_needs_a_vector():
+    with pytest.raises(DimensionMismatch):
+        SpanBasis.from_vectors([])
 
 
 def test_extend_is_incremental_from_vectors():
@@ -424,11 +431,45 @@ def test_best_scalar_general_p_beats_grid():
     u = rng.standard_normal(6)
     for spec in (L1, LINF, NormSpec(1.3)):
         c, err = best_scalar(t, u, spec)
-        from orbitgap import norm
-
         grid = np.linspace(-5.0, 5.0, 4001)
         brute = min(norm(t - g * u, spec) for g in grid)
-        assert err <= brute + 1e-6
+        assert err <= brute + 1e-15 * norm(t, spec)
+
+
+def exact_one_column(t, u, p):
+    """Exact min over real c of ||t - c u||_p, p in {1, inf}, as a Fraction.
+
+    The profile is convex and piecewise linear in c, so the minimum sits at
+    a kink: a ratio a_i = t_i / u_i, or at p = inf a crossing of two of the
+    lines |u_i| |c - a_i|, at c = (|u_i| a_i + |u_j| a_j) / (|u_i| + |u_j|).
+    """
+    t = [Fraction(x) for x in t]
+    u = [Fraction(x) for x in u]
+    kinks = [(ti / ui, abs(ui)) for ti, ui in zip(t, u) if ui != 0]
+    candidates = {a for a, _ in kinks}
+    if p == math.inf:
+        candidates |= {(si * ai + sj * aj) / (si + sj) for ai, si in kinks for aj, sj in kinks}
+    residuals = ([abs(ti - c * ui) for ti, ui in zip(t, u)] for c in candidates)
+    return min(sum(r) if p == 1 else max(r) for r in residuals)
+
+
+@st.composite
+def dyadic_pairs(draw):
+    """Target and direction with entries +-2^-m, m <= 75, as the builder makes."""
+    dim = draw(st.integers(4, 24))
+    m = draw(arrays(np.int64, (2, dim), elements=st.integers(0, 75)))
+    sign = draw(arrays(np.bool_, (2, dim)))
+    return np.where(sign, 1.0, -1.0) * np.ldexp(1.0, -m)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(dyadic_pairs())
+def test_best_scalar_is_exact_on_dyadic_pairs(pair):
+    t, u = pair
+    for spec in (L1, LINF):
+        _, err = best_scalar(t, u, spec)
+        gap = Fraction(err) - exact_one_column(t, u, spec.p)
+        assert abs(gap) <= Fraction(1e-15) * Fraction(norm(t, spec))
 
 
 def test_best_scalar_zero_direction():
