@@ -20,7 +20,7 @@ from .errors import (
     EmptyTargets,
     TruncationTooSmall,
 )
-from .operators import OperatorSpec, orbit_stream, ZeroOrbitMarker
+from .operators import OperatorSpec, invariant_prefix, orbit_stream, ZeroOrbitMarker
 from .space import NormSpec, L2, norm
 from .subspace import best_scalar
 
@@ -202,8 +202,10 @@ def density_check(
 
     For each target the report records the first n attaining the minimum of
     min over c of norm(c T^n x - t, spec), scoring all targets per power in
-    one best_scalar call (it names its solver per p and field).  A dying
-    orbit is not an error here: remaining powers are skipped and flagged.
+    one best_scalar call (it names its solver per p and field), on the prefix
+    that holds x and the targets and that T maps into itself
+    (invariant_prefix).  A dying orbit is not an error here: remaining
+    powers are skipped and flagged.
     """
     if not np.any(x):
         raise ConfigError("density check needs a nonzero x")
@@ -213,14 +215,16 @@ def density_check(
         raise DimensionMismatch(f"x has dimension {x.shape[0]}, targets {targets.dim}")
 
     stack = np.stack(targets.targets)
+    m, Tm, spec_m = invariant_prefix(T, stack.any(axis=0) | (x != 0), spec)
+    stack = stack[:, :m]
     best = [None] * len(stack)
     best_err = np.full(len(stack), np.inf)
     exhausted_at = None
-    for elem in orbit_stream(T, x, 0, horizon, spec):
+    for elem in orbit_stream(Tm, x[:m], 0, horizon, spec_m):
         if isinstance(elem, ZeroOrbitMarker):
             exhausted_at = elem.n
             break
-        gamma, err = best_scalar(stack, elem.direction, spec)
+        gamma, err = best_scalar(stack, elem.direction, spec_m)
         for j in np.flatnonzero(err < best_err):  # strict: the first power wins ties
             best[j] = (elem.n, gamma[j].item() * math.exp(-elem.log_scale), err[j].item())
             best_err[j] = err[j]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, HorizonExhausted, LinearDependence, TruncationTooSmall, ZeroOrbit
-from .operators import OperatorSpec, apply, orbit_stream, ZeroOrbitMarker
+from .operators import OperatorSpec, apply, invariant_prefix, orbit_stream, ZeroOrbitMarker
 from .space import NormSpec, L2, norm
 from .subspace import SpanBasis, distance, distance_if_extended, extend, prefix_distances
 
@@ -113,16 +113,18 @@ def extract_subsequence(T: OperatorSpec, x, cfg: ExtractionConfig) -> Certificat
     smallest qualifying later powers until maxSteps indices are recorded.
     Every recorded distance is the distance of x' to the span at that step,
     capped by the one before, so the last one certifies the final
-    proper-span gap.
+    proper-span gap.  The run takes place on the prefix that holds x and
+    that T maps into itself (invariant_prefix); only scaledX is padded back.
     """
-    lam, xp = rescale_for_extraction(x, T, cfg.norm_spec, cfg.margin)
+    m, Tm, spec = invariant_prefix(T, x, cfg.norm_spec)
+    lam, xp = rescale_for_extraction(x[:m], Tm, spec, cfg.margin)
 
-    stream = orbit_stream(T, xp, 1, cfg.horizon, cfg.norm_spec)
+    stream = orbit_stream(Tm, xp, 1, cfg.horizon, spec)
     first = next(stream)
     if isinstance(first, ZeroOrbitMarker):
         raise ZeroOrbit(first.n, "Tx is zero, no orbit to select from", step=1)
     Y = SpanBasis.from_vectors([first.direction])
-    d1 = distance(xp, Y, cfg.norm_spec)
+    d1 = distance(xp, Y, spec)
     if not d1 > cfg.theta + cfg.strict_tol:
         raise ConfigError(
             f"step 1 distance {d1} does not clear theta = {cfg.theta}; "
@@ -142,7 +144,7 @@ def extract_subsequence(T: OperatorSpec, x, cfg: ExtractionConfig) -> Certificat
                     f"at step {step}" + _missed(best, bar),
                     step=step,
                 )
-            d = distance_if_extended(xp, Y, elem.direction, cfg.norm_spec)
+            d = distance_if_extended(xp, Y, elem.direction, spec)
             if d > bar:
                 break
             if d > best[0]:
@@ -153,8 +155,10 @@ def extract_subsequence(T: OperatorSpec, x, cfg: ExtractionConfig) -> Certificat
         indices.append(elem.n)
         # nested spans: a value above its predecessor is solver noise
         distances.append(min(d, distances[-1]))
+    scaled_x = lam * x
+    scaled_x.flags.writeable = False
     return Certificate(
-        scaled_x=xp,
+        scaled_x=scaled_x,
         lambda_scale=lam,
         operator=T,
         indices=tuple(indices),
@@ -187,7 +191,8 @@ def verify_certificate(cert: Certificate, T: OperatorSpec, x_original) -> Verifi
     certified indices inside the truncation ("truncation"), every prefix
     distance against the batch oracle (1e-8 relative, all off one QR by
     prefix_distances), every distance above theta, and the non-increasing
-    ledger.  Never raises.
+    ledger.  The orbit and the distances run on the prefix that
+    invariant_prefix keeps.  Never raises.
     """
     try:
         idx = list(cert.indices)
@@ -208,9 +213,11 @@ def verify_certificate(cert: Certificate, T: OperatorSpec, x_original) -> Verifi
                 "scaled-vector", "scaledX does not equal lambdaScale times the original x"
             )
 
+        m, Tm, spec = invariant_prefix(T, xp, cert.norm_spec)
+        xp = xp[:m]
         wanted = set(idx)
         directions = {}
-        for elem in orbit_stream(T, xp, 1, idx[-1], cert.norm_spec):
+        for elem in orbit_stream(Tm, xp, 1, idx[-1], spec):
             if isinstance(elem, ZeroOrbitMarker):
                 break
             if elem.n in wanted:
@@ -219,7 +226,7 @@ def verify_certificate(cert: Certificate, T: OperatorSpec, x_original) -> Verifi
         if missing:
             return _fail("orbit", f"orbit dies before certified index {missing[0]}")
 
-        recomputed = prefix_distances(xp, [directions[n] for n in idx], cert.norm_spec)
+        recomputed = prefix_distances(xp, [directions[n] for n in idx], spec)
         devs = [abs(d - c) / max(abs(c), 1e-300) for d, c in zip(recomputed, cert.distances)]
         worst = max(devs)
         if worst > 1e-8:

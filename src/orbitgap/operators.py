@@ -100,14 +100,21 @@ class Diagonal:
 OperatorSpec = BackwardShift | RolewiczMultiple | ForwardShift | DenseMatrix | Diagonal
 
 
+def _check_dimension(T: OperatorSpec, n: int):
+    """Raise DimensionMismatch when T cannot act on vectors of dimension n."""
+    if isinstance(T, BackwardShift) and len(T.weights) < n:
+        raise DimensionMismatch(f"backward shift has {len(T.weights)} weights, needs >= {n}")
+    if isinstance(T, DenseMatrix) and T.entries.shape[0] != n:
+        raise DimensionMismatch(f"operator is {T.entries.shape[0]}-dimensional, vector is {n}")
+    if isinstance(T, Diagonal) and len(T.d) != n:
+        raise DimensionMismatch(f"diagonal has length {len(T.d)}, vector is {n}")
+
+
 def apply(T: OperatorSpec, v: np.ndarray) -> np.ndarray:
     """Apply the operator once.  Linear in v; boundary rules and refusal as documented above."""
     n = v.shape[0]
+    _check_dimension(T, n)
     if isinstance(T, BackwardShift):
-        if len(T.weights) < n:
-            raise DimensionMismatch(
-                f"backward shift has {len(T.weights)} weights, needs >= {n}"
-            )
         w = np.asarray(T.weights[:n])
         out = np.zeros(n, dtype=np.result_type(v.dtype, w.dtype))
         out[:-1] = w[1:] * v[1:]
@@ -120,20 +127,47 @@ def apply(T: OperatorSpec, v: np.ndarray) -> np.ndarray:
         out = np.zeros(n, dtype=v.dtype)
         out[1:] = v[:-1]
     elif isinstance(T, DenseMatrix):
-        if T.entries.shape[0] != n:
-            raise DimensionMismatch(
-                f"operator is {T.entries.shape[0]}-dimensional, vector is {n}"
-            )
         out = T.entries @ v
     elif isinstance(T, Diagonal):
-        if len(T.d) != n:
-            raise DimensionMismatch(f"diagonal has length {len(T.d)}, vector is {n}")
         out = np.asarray(T.d) * v
     else:
         raise TypeError(f"unknown operator spec {type(T).__name__}")
     out = np.asarray(out)
     out.flags.writeable = False
     return out
+
+
+def invariant_prefix(T: OperatorSpec, v, spec: NormSpec = L2):
+    """(m, T_m, spec_m): T and spec restricted to the coordinates 0..m-1.
+
+    m >= 2 is the shortest prefix length that holds the support of v (a
+    vector, a stack of them or a support mask, of dimension N) and that T
+    maps into itself, as lam B, weighted backward shifts and diagonals map
+    every prefix; a dense matrix is cut only there, and only when
+    entries[m:, :m] is zero.  An orbit of a vector supported there stays
+    there, so its norms, spans and distances are those of T_m and spec_m.
+    Returns (N, T, spec) when no shorter prefix qualifies, always for the
+    forward shift; raises the DimensionMismatch of apply or spec at N.
+    """
+    support = np.atleast_2d(v).any(axis=0)
+    n = support.shape[0]
+    _check_dimension(T, n)
+    spec.weight_array(n)
+    nz = np.flatnonzero(support)
+    m = max(2, int(nz[-1]) + 1 if nz.size else 0)
+    if m >= n:
+        return n, T, spec
+    if isinstance(T, RolewiczMultiple):
+        Tm = T
+    elif isinstance(T, BackwardShift):
+        Tm = BackwardShift(weights=T.weights[:m])
+    elif isinstance(T, Diagonal):
+        Tm = Diagonal(d=T.d[:m])
+    elif isinstance(T, DenseMatrix) and not T.entries[m:, :m].any():
+        Tm = DenseMatrix(entries=T.entries[:m, :m])
+    else:
+        return n, T, spec
+    return m, Tm, spec if spec.weights is None else NormSpec(spec.p, spec.weights[:m])
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,13 @@ def read_record(path) -> dict:
 
 def _json_number(value, key: str, kind=float):
     """kind(value) for a JSON number, or a JSON integer when kind is int:
-    float() and int() alone would read true as 1, "3" as 3 and 2.5 as 2."""
+    float() and int() alone would read true as 1, "3" as 3 and 2.5 as 2.
+    An integer beyond the float range is refused like a wrong type."""
     if type(value) is int or (kind is float and type(value) is float):
-        return kind(value)
+        try:
+            return kind(value)
+        except OverflowError:
+            raise ValueError(f"values of {key!r} must fit a float") from None
     name = "integers" if kind is int else "numbers"
     raise TypeError(f"values of {key!r} must be JSON {name}, got {value!r}")
 
@@ -92,7 +96,7 @@ def _vector_from(entries, field: str) -> np.ndarray:
     if not {int, float}.issuperset(map(type, parts)):
         raise TypeError("vector entries must be JSON numbers, not true, false, null or strings")
     if field == COMPLEX:
-        entries = np.asarray(parts, dtype=np.float64).view(np.complex128)
+        entries = vector(parts).view(np.complex128)
     return vector(entries, field)
 
 

@@ -12,7 +12,6 @@ simplex solves: 2 of 3,000 such LPs with presolve on, none with it off.
 """
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import SolverFailure
 
@@ -25,6 +24,8 @@ def solve_standard_lp(c, A, b, *, upper=None):
     built in this package are feasible and bounded, so SolverFailure here
     signals a genuine numerical breakdown.
     """
+    from scipy.optimize import linprog  # loaded only when an LP runs
+
     A = np.asarray(A, dtype=np.float64)
     res = linprog(c, A_eq=A, b_eq=b, bounds=(0.0, upper), method="highs",
                   options={"presolve": False})

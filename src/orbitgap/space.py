@@ -76,7 +76,10 @@ def vector(entries, field: str = REAL, dim: int | None = None) -> np.ndarray:
     """
     if field not in _DTYPES:
         raise ValueError(f"unknown scalar field {field!r}")
-    v = np.asarray(entries, dtype=_DTYPES[field])
+    try:
+        v = np.asarray(entries, dtype=_DTYPES[field])
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("vector entries must be finite") from None
     if v.ndim != 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
     if v.shape[0] < 2:

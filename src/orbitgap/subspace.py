@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr
-from scipy.optimize import minimize
 
 from .errors import DimensionMismatch, SolverFailure
 from .simplex import solve_standard_lp
@@ -185,6 +184,8 @@ def _descent_smooth(e_hat, A, p, starts):
     residual coordinates when p < 2, so convergence is accepted when the
     solver reports success or when independent starts meet at one value.
     """
+    from scipy.optimize import minimize  # loaded only when a descent runs
+
     k = A.shape[1]
     complex_field = np.iscomplexobj(A)
 
@@ -245,6 +246,8 @@ def _descent_complex(e_hat, A, p, starts):
     every SLSQP result is scored by its true objective, so the reported
     value is the best certified upper bound among them.
     """
+    from scipy.optimize import minimize  # loaded only when a descent runs
+
     # real stacking: residual pairs (Re r_j, Im r_j) over real coefficients
     n, k = A.shape
     M = np.block([[A.real, -A.imag], [A.imag, A.real]])
@@ -472,6 +475,8 @@ def best_scalar(t: np.ndarray, u: np.ndarray, spec: NormSpec = L2):
         resid = rows - c[:, None] * u
         err = np.linalg.norm(resid if w is None else w * resid, axis=1)
     elif complex_field and nu > 0.0:
+        from scipy.optimize import minimize  # loaded only when a descent runs
+
         c2 = complex(np.vdot(uw, tw[0])) / float(np.real(np.vdot(uw, uw)))
 
         def f(ab):

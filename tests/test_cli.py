@@ -312,6 +312,9 @@ def test_operator_record_errors_are_usage_errors(capsys, tmp_path, operator, mes
     # int() would read these as indices 2 and 1
     (lambda record: record["indices"].__setitem__(1, 2.5), "must be JSON integers"),
     (lambda record: record["indices"].__setitem__(1, True), "must be JSON integers"),
+    # a JSON integer beyond the float range: float() raises OverflowError
+    (lambda record: record.update(lambdaScale=10**400), "'lambdaScale' must fit a float"),
+    (lambda record: record["distances"].__setitem__(0, -10**400), "'distances' must fit a float"),
 ])
 def test_verify_malformed_certificate_is_usage_error(capsys, tmp_path, edit, message):
     cert_path = tmp_path / "cert.json"
@@ -382,7 +385,11 @@ _VECTOR_COMMANDS = {
     ("real", "[true, 0.5, 0.25, 0.125]", "must be JSON numbers"),
     ("real", '[1, "3", 0.25, 0.125]', "must be JSON numbers"),
     ("complex", "[[true, 0], [0.5, 0], [0.25, 0], [0.125, 0]]", "must be JSON numbers"),
-], ids=["nan", "infinity", "short", "complex-unpaired", "true", "string", "complex-true"])
+    # np.asarray raises OverflowError on an integer beyond the float range
+    ("real", f"[{10**400}, 1, 2, 3]", "vector entries must be finite"),
+    ("complex", f"[[1, {10**400}], [0.5, 0], [0.25, 0], [0.125, 0]]", "vector entries must be finite"),
+], ids=["nan", "infinity", "short", "complex-unpaired", "true", "string", "complex-true", "huge-int",
+        "complex-huge-int"])
 @pytest.mark.parametrize("command", sorted(_VECTOR_COMMANDS))
 def test_invalid_vectors_are_usage_errors(capsys, tmp_path, command, field, entries, message,
                                           source):

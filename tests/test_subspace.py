@@ -125,7 +125,7 @@ def test_inside_span_points_skip_the_descent(monkeypatch, field):
     def refuse(*args, **kwargs):
         raise AssertionError("a descent ran on a point inside the span")
 
-    monkeypatch.setattr("orbitgap.subspace.minimize", refuse)
+    monkeypatch.setattr("scipy.optimize.minimize", refuse)
     rng = np.random.default_rng(12)
     for spec in (L1, NormSpec(1.5), NormSpec(3.0), LINF):
         for _ in range(6):
@@ -310,7 +310,7 @@ def test_lp_witness_runs_no_descent(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a descent ran at real p in {1, inf}")
 
-    monkeypatch.setattr("orbitgap.subspace.minimize", refuse)
+    monkeypatch.setattr("scipy.optimize.minimize", refuse)
     for spec in (L1, LINF):
         for seed in range(5):
             e, gens = _lp_witness_case(seed, 24, 6)
