@@ -30,15 +30,16 @@ from orbitgap import (
 
 rng = np.random.default_rng(12345)
 dim, rank = 40, 8
-Y = SpanBasis.from_vectors([rng.standard_normal(dim) for _ in range(rank)])
+gens = [rng.standard_normal(dim) for _ in range(rank)]
+Y = SpanBasis.from_vectors(gens)
 e = rng.standard_normal(dim)
 
 print(f"point in R^{dim}, span of rank {Y.rank}\n")
 print(f"{'norm':>8}  {'incremental':>16}  {'batch oracle':>16}  {'descent|witness':>16}")
 for label, spec in [("l1", L1), ("l2", L2), ("linf", LINF), ("p=1.5", NormSpec(1.5)), ("p=3", NormSpec(3.0))]:
     a = distance(e, Y, spec)
-    b = distance_batch_oracle(e, Y.generators, spec)
-    c = distance_convex_descent(e, Y.generators, spec)
+    b = distance_batch_oracle(e, gens, spec)
+    c = distance_convex_descent(e, gens, spec)
     print(f"{label:>8}  {a:16.12f}  {b:16.12f}  {c:16.12f}")
 
 # The distances are ordered like the norms themselves.
@@ -51,13 +52,14 @@ w = tuple(rng.uniform(0.5, 2.0, dim))
 spec_w = NormSpec(2.0, weights=w)
 a = distance(e, Y, spec_w)
 wa = np.asarray(w)
-b = distance(wa * e, SpanBasis.from_vectors([wa * g for g in Y.generators]), L2)
+b = distance(wa * e, SpanBasis.from_vectors([wa * g for g in gens]), L2)
 print(f"weighted l2 distance {a:.12f} equals plain l2 after scaling {b:.12f}")
 
 # Complex field: same API, real-embedded solvers underneath.
-Z = SpanBasis.from_vectors([rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(3)])
+zgens = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(3)]
+Z = SpanBasis.from_vectors(zgens)
 z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
 for label, spec in [("l1", L1), ("l2", L2), ("linf", LINF)]:
     a = distance(z, Z, spec)
-    b = distance_batch_oracle(z, Z.generators, spec)
+    b = distance_batch_oracle(z, zgens, spec)
     print(f"complex {label:>4}: incremental {a:.12f}  oracle {b:.12f}")

@@ -34,18 +34,26 @@ from .subspace import (
     distance_convex_descent,
 )
 
-def _add_common(p):
+_SHARED = {
+    "operator": dict(help="rolewicz:<lam> | forward-shift | backward-shift[:file] | dense:<file> | diagonal:<file>"),
+    "dim": dict(type=int, help="truncation dimension N"),
+    "norm": dict(help="l1 | l2 | linf | p:<value> (default l2)"),
+    "field": dict(choices=[REAL, COMPLEX], help="field for inline vectors (default real)"),
+    "x": dict(help="vector source: record file, or inline JSON list"),
+    "targets": dict(help="targets record file, or default:<count>"),
+    "eps": dict(type=float, help="uniform epsilon for generated targets (default 1e-3)"),
+    "seed": dict(type=int, help="seed for the generated instance"),
+}
+
+
+def _add_flags(p, names):
+    """--config, --out, --format and the named _SHARED flags: a command
+    takes only the flags its handler reads."""
     p.add_argument("--config", help="JSON file of defaults, overridden by flags")
-    p.add_argument("--operator", help="rolewicz:<lam> | forward-shift | backward-shift[:file] | dense:<file> | diagonal:<file>")
-    p.add_argument("--dim", type=int, help="truncation dimension N")
-    p.add_argument("--norm", help="l1 | l2 | linf | p:<value> (default l2)")
-    p.add_argument("--field", choices=[REAL, COMPLEX], help="field for inline vectors (default real)")
-    p.add_argument("--x", help="vector source: record file, or inline JSON list")
-    p.add_argument("--targets", help="targets record file, or default:<count>")
-    p.add_argument("--eps", type=float, help="uniform epsilon for generated targets (default 1e-3)")
+    for name in names.split():
+        p.add_argument("--" + name, **_SHARED[name])
     p.add_argument("--out", help="write the canonical result record here")
     p.add_argument("--format", dest="fmt", choices=["text", "record"], help="stdout style (default text)")
-    p.add_argument("--seed", type=int, help="seed for the generated instance of dist")
 
 
 def _build_parser():
@@ -53,26 +61,26 @@ def _build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="run the extraction and emit a certificate")
-    _add_common(p)
+    _add_flags(p, "operator dim norm field x targets eps")
     p.add_argument("--steps", type=int, help="number of indices K (default 8)")
     p.add_argument("--theta", type=float, help="distance threshold (default 1.0)")
     p.add_argument("--margin", type=float, help="rescale margin (default 0.5)")
     p.add_argument("--horizon", type=int, help="candidate cap (default dim)")
     p.add_argument("--strict-tol", dest="strict_tol", type=float, help="strictness slack (default 1e-9)")
 
-    p = sub.add_parser("verify", help="re-check a certificate from scratch")
+    p = sub.add_parser("verify", help="re-check a certificate from scratch, in its own norm")
     p.add_argument("record", help="certificate record file")
-    _add_common(p)
+    _add_flags(p, "operator dim field x targets eps")
 
     p = sub.add_parser("density", help="best orbit approximation per target")
-    _add_common(p)
+    _add_flags(p, "operator dim norm field x targets eps")
     p.add_argument("--horizon", type=int, help="largest power to survey (default dim)")
 
     p = sub.add_parser("build", help="construct a vector approximating the targets")
-    _add_common(p)
+    _add_flags(p, "operator dim norm targets eps")
 
     p = sub.add_parser("dist", help="distance from a point to a span, all routes")
-    _add_common(p)
+    _add_flags(p, "dim norm field x seed")
     p.add_argument("--span", help="vectors record file of span generators")
     p.add_argument("--rank", type=int, help="generator count for seeded instances (default 4)")
     return top, sub.choices
@@ -355,7 +363,7 @@ def _cmd_dist(ns):
         "batchOracle": float(d_oracle),
     }
     lines = [f"incremental  {d_inc!r}", f"batch oracle {d_oracle!r}"]
-    if spec.p in (1.0, math.inf) and not any(np.iscomplexobj(g) for g in gens):
+    if spec.p in (1.0, math.inf) and not any(np.iscomplexobj(v) for v in (e, *gens)):
         d_desc = distance_convex_descent(e, gens, spec)
         record["convexDescent"] = float(d_desc)
         lines.append(f"descent      {d_desc!r}")

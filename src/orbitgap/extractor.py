@@ -10,9 +10,11 @@ dist(x', span{T^(n_k) x' : k <= K}) > theta at finite K.
 
 extract_subsequence is the only search: one run reads one orbit stream,
 each step scores the powers after n_(k-1) one at a time and the first that
-qualifies wins, so no power past n_K is generated or scored.  Each recorded
-distance is capped by its predecessor: the spans are nested, so the true
-ledger is non-increasing and a higher solver value is tolerance noise.
+qualifies wins, so no power past n_K is generated or scored.  Scoring a
+candidate extends the span once, and the winner's extended span is kept.
+Each recorded distance is capped by its predecessor: the spans are nested,
+so the true ledger is non-increasing and a higher solver value is
+tolerance noise.
 
 verify_certificate reruns everything from scratch against the batch
 oracle and reports the first violated check instead of raising.
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, HorizonExhausted, LinearDependence, TruncationTooSmall, ZeroOrbit
 from .operators import OperatorSpec, apply, invariant_prefix, orbit_stream, ZeroOrbitMarker
 from .space import NormSpec, L2, norm
-from .subspace import SpanBasis, distance, distance_if_extended, extend, prefix_distances
+from .subspace import SpanBasis, distance, extend, prefix_distances
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ def rescale_for_extraction(
     span_tx = SpanBasis.from_vectors([apply(T, x)])
     if span_tx.rank == 0:
         raise LinearDependence("Tx is the zero vector")
-    if extend(span_tx, x).dependency_flags[-1]:
+    if extend(span_tx, x) is span_tx:
         raise LinearDependence("x and Tx are numerically dependent")
     d = distance(x, span_tx, spec)
     lam = (1.0 + margin) / min(norm(x, spec), d)
@@ -144,14 +146,15 @@ def extract_subsequence(T: OperatorSpec, x, cfg: ExtractionConfig) -> Certificat
                     f"at step {step}" + _missed(best, bar),
                     step=step,
                 )
-            d = distance_if_extended(xp, Y, elem.direction, spec)
+            Z = extend(Y, elem.direction)
+            d = distance(xp, Z, spec)
             if d > bar:
                 break
             if d > best[0]:
                 best = (d, elem.n)
         else:
             raise HorizonExhausted(indices[-1], cfg.horizon, step=step, detail=_missed(best, bar))
-        Y = extend(Y, elem.direction)
+        Y = Z
         indices.append(elem.n)
         # nested spans: a value above its predecessor is solver noise
         distances.append(min(d, distances[-1]))

@@ -17,6 +17,9 @@ Record kinds:
                  recomputedDistances}
   build         {kind, lam, normSpec, plan, x}
   density       {kind, horizon, normSpec, orbitExhaustedAt, records}
+  distance      {kind, normSpec, value, batchOracle, convexDescent?, spread}
+                (written by the dist command; convexDescent only for a real
+                point and span at p in {1, inf})
   error         {kind, error, message, step}
 """
 

@@ -1,11 +1,12 @@
 """Growing spans and distances from a point to a span.
 
-SpanBasis keeps both the raw generators (as added) and an l^2-orthonormal
-basis Q, one rank x N array built by classical Gram-Schmidt applied twice
-per extension (twice is enough to hold orthonormality near machine
-precision at these sizes).  Q always uses the l^2 inner product, whatever
-the ambient norm: span membership does not depend on the norm, only the
-distance value does.
+A SpanBasis is nothing but its l^2-orthonormal basis Q, one rank x N
+array built by classical Gram-Schmidt applied twice per extension (twice is
+enough to hold orthonormality near machine precision at these sizes).
+extend returns the same SpanBasis for a dependent vector, so callers that
+need the generators keep their own list.  Q always uses the l^2 inner
+product, whatever the ambient norm: span membership does not depend on the
+norm, only the distance value does.
 
 Distance routes, one table (_route_table), chosen by p and field:
   p = 2                    least squares on the diagonally scaled columns
@@ -42,30 +43,27 @@ DEPENDENCY_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class SpanBasis:
-    """Immutable span of a growing generator list; ortho is Q, the orthonormal
-    basis as one read-only rank x dim array, built once per extend."""
+    """Immutable span; ortho is Q, its orthonormal basis as one read-only
+    rank x dim array, built once per extend."""
 
-    dim: int
-    generators: tuple
     ortho: np.ndarray
-    dependency_flags: tuple
+
+    @property
+    def dim(self) -> int:
+        return self.ortho.shape[1]
 
     @property
     def rank(self) -> int:
         return self.ortho.shape[0]
 
     @classmethod
-    def empty(cls, dim: int) -> "SpanBasis":
-        Q = np.zeros((0, dim))
-        Q.flags.writeable = False
-        return cls(dim=dim, generators=(), ortho=Q, dependency_flags=())
-
-    @classmethod
     def from_vectors(cls, vecs) -> "SpanBasis":
         vecs = list(vecs)
         if not vecs:
             raise DimensionMismatch("cannot infer dimension from an empty list")
-        basis = cls.empty(vecs[0].shape[0])
+        Q = np.zeros((0, vecs[0].shape[0]))
+        Q.flags.writeable = False
+        basis = cls(Q)
         for v in vecs:
             basis = extend(basis, v)
         return basis
@@ -80,31 +78,18 @@ def _project_residual(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def extend(Y: SpanBasis, v: np.ndarray) -> SpanBasis:
-    """New SpanBasis whose span is span(Y and v).
-
-    A residual below DEPENDENCY_TOL * ||v|| leaves the rank unchanged and
-    records v as dependent; span growth is explicit, never silent.
-    """
+    """SpanBasis of span(Y and v); Y itself when v is dependent, that is
+    when its residual is below DEPENDENCY_TOL * ||v||."""
     if v.shape[0] != Y.dim:
         raise DimensionMismatch(f"generator has dimension {v.shape[0]}, span has {Y.dim}")
     nv = float(np.linalg.norm(v))
     r = _project_residual(Y.ortho, v)
     rn = float(np.linalg.norm(r))
     if nv == 0.0 or rn < DEPENDENCY_TOL * nv:
-        return SpanBasis(
-            dim=Y.dim,
-            generators=Y.generators + (v,),
-            ortho=Y.ortho,
-            dependency_flags=Y.dependency_flags + (True,),
-        )
+        return Y
     Q = np.vstack([Y.ortho, r / rn])
     Q.flags.writeable = False
-    return SpanBasis(
-        dim=Y.dim,
-        generators=Y.generators + (v,),
-        ortho=Q,
-        dependency_flags=Y.dependency_flags + (False,),
-    )
+    return SpanBasis(Q)
 
 
 def _scaled_columns(e, vectors, spec):
@@ -357,10 +342,10 @@ def _pivoted_basis(A):
 
 
 def distance(e: np.ndarray, Y: SpanBasis, spec: NormSpec = L2) -> float:
-    """min over coefficients of norm(e - sum a_i generators_i, spec).
+    """min over y in span Y of norm(e - y, spec).
 
-    Incremental path: works on the maintained orthonormal basis (same span
-    as the generators, much better conditioned).
+    Incremental path: works on the maintained orthonormal basis (the span
+    of the generators, much better conditioned than they are).
     """
     if e.shape[0] != Y.dim:
         raise DimensionMismatch(f"point has dimension {e.shape[0]}, span has {Y.dim}")

@@ -73,13 +73,13 @@ def test_criterion_2_oracle_equivalence():
         dim = int(rng.integers(4, 65))
         rank = int(rng.integers(1, min(16, dim - 1) + 1))
         spec = specs[i % 3]
-        Y = SpanBasis.from_vectors([rng.standard_normal(dim) for _ in range(rank)])
+        gens = [rng.standard_normal(dim) for _ in range(rank)]
         e = rng.standard_normal(dim)
-        a = distance(e, Y, spec)
-        b = distance_batch_oracle(e, Y.generators, spec)
+        a = distance(e, SpanBasis.from_vectors(gens), spec)
+        b = distance_batch_oracle(e, gens, spec)
         assert abs(a - b) <= 1e-9 * max(1e-12, abs(b)), (i, spec.p, a, b)
         if spec.p != 2.0:
-            c = distance_convex_descent(e, Y.generators, spec)
+            c = distance_convex_descent(e, gens, spec)
             assert abs(a - c) <= 1e-6 * max(1e-12, abs(c)), (i, spec.p, a, c)
     report(2, "oracle equivalence, 200 instances", time.perf_counter() - t0, 30.0)
 

@@ -52,6 +52,30 @@ def test_allow_deep_is_no_longer_an_option():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("extract", "seed", 1),
+    ("verify", "seed", 1),
+    ("density", "seed", 1),
+    ("build", "seed", 1),
+    # verify checks a certificate in the norm it records
+    ("verify", "norm", "l2"),
+    ("build", "x", "[1,0,0,0]"),
+    ("build", "field", "real"),
+    ("dist", "operator", "rolewicz:2"),
+    ("dist", "targets", "default:2"),
+    ("dist", "eps", 0.1),
+])
+def test_flags_a_command_does_not_read_are_refused(capsys, tmp_path, command, flag, value):
+    args = [command, "cert.json"] if command == "verify" else [command]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, f"--{flag}", str(value)])
+    assert exc.value.code == 2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({flag: value}))
+    code, _, err = run_cli(capsys, *args, "--config", str(config))
+    assert code == 2 and f"config key {flag!r} does not apply to this command" in err
+
+
 def test_readme_commands_parse():
     # a flag removed from the CLI cannot stay in README's command block
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -225,6 +249,18 @@ def test_dist_seeded_routes_agree(capsys):
         assert lines
         spread = float(lines[0].split()[-1])
         assert spread < 1e-12, (norm, spread)
+
+
+def test_dist_complex_point_has_no_witness_line(capsys):
+    # the LP witness exists only when the point and the span are both real;
+    # a complex point takes the descent route, which is no witness bound
+    code, out, err = run_cli(capsys, "dist", "--field", "complex", "--x", "[[1,0],[0,1],[1,1],[2,0]]",
+                             "--seed", "1", "--dim", "4", "--rank", "2", "--norm", "l1",
+                             "--format", "record")
+    assert code == 0, err
+    record = json.loads(out)
+    assert "convexDescent" not in record
+    assert record["spread"] == abs(record["batchOracle"] - record["value"])
 
 
 def test_exit_codes(capsys, tmp_path):

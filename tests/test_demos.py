@@ -1,7 +1,9 @@
-"""Every demo script runs to completion; their asserts are part of the check."""
+"""Every demo script and README's quick start run to completion; their
+asserts are part of the check."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -22,3 +24,10 @@ def test_demo_exits_zero(script):
 
 def test_demos_are_found():
     assert DEMOS
+
+
+def test_readme_quick_start_runs():
+    # the fenced python block, verbatim, so the README pipeline cannot drift from the API
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -318,10 +318,11 @@ def test_builder_pipeline_at_lp_norms(spec, N):
 
 def test_scan_scores_each_power_once(monkeypatch):
     # README pipeline: the run rejects n = 11, so powers 2..n_K are each
-    # scored once, and the orbit is generated once (plus Tx in the rescale)
+    # scored once, by one extend whose span the winner keeps, and the orbit
+    # is generated once (plus Tx in the rescale)
     T = RolewiczMultiple(2.0)
     built = build_supercyclic_vector(2.0, default_target_set(1024, count=8), 1024)
-    calls = {"scored": 0, "apply": 0}
+    calls = {"extend": 0, "from_vectors": 0, "apply": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -330,8 +331,9 @@ def test_scan_scores_each_power_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(extractor, "distance_if_extended",
-                        counted("scored", extractor.distance_if_extended))
+    monkeypatch.setattr(extractor, "extend", counted("extend", extractor.extend))
+    # SpanBasis.from_vectors extends through the subspace module's binding
+    monkeypatch.setattr(subspace, "extend", counted("from_vectors", subspace.extend))
     counted_apply = counted("apply", operators.apply)
     monkeypatch.setattr(operators, "apply", counted_apply)
     monkeypatch.setattr(extractor, "apply", counted_apply)
@@ -339,7 +341,10 @@ def test_scan_scores_each_power_once(monkeypatch):
     cert = extract_subsequence(T, built.x, cfg)
     n_K = cert.indices[-1]
     assert 11 not in cert.indices and n_K > 11
-    assert calls["scored"] == n_K - 1
+    # one extend per scored power, plus the rescale's dependence test of x
+    assert calls["extend"] == (n_K - 1) + 1
+    # span{Tx} in the rescale and Y_1 = span{Tx'} in the run, one generator each
+    assert calls["from_vectors"] == 2
     assert calls["apply"] == n_K + 1
 
 
