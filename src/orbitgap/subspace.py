@@ -22,8 +22,9 @@ distance_batch_oracle runs the same table with no incremental state and
 serves as ground truth in verification and tests: at p = 2 on the raw
 generators, at any other p on a column-pivoted Householder QR basis of them.
 prefix_distances gives the oracle's value at every prefix from one unpivoted
-QR of [A | e_hat] (||R[k:, K]|| at p = 2, the route table on Q[:, :k] else),
-and runs the oracle per prefix instead when a generator is dependent.
+QR of [A | e_hat] (||R[k:, K]|| from numpy's R-only QR at p = 2, the route
+table on Q[:, :k] of scipy's QR else), and runs the oracle per prefix
+instead when a generator is dependent.  Only p != 2 routes import scipy.
 distance_convex_descent runs _descent on the raw columns, but at real p in
 {1, inf} it gives the Holder bound <e_hat, y> / ||y||_q of the LP's maximizer.
 """
@@ -32,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
 
 from .errors import DimensionMismatch, SolverFailure
 from .simplex import solve_standard_lp
@@ -117,6 +117,11 @@ def _scaled_columns(e, vectors, spec):
     return e_hat, A
 
 
+def _nonnegative(value):
+    """max(value, 0.0) but never -0.0 (max keeps the first of equal arguments); NaN stays NaN."""
+    return max(value, 0.0) + 0.0
+
+
 def _lstsq_distance(e_hat, A):
     coef, *_ = np.linalg.lstsq(A, e_hat, rcond=None)
     return float(np.linalg.norm(e_hat - A @ coef))
@@ -144,7 +149,7 @@ def _lp_distance(e_hat, A, p):
     else:
         A_eq = np.block([[A_eq, np.zeros((k, 1))], [np.ones((1, 2 * n + 1))]])
         z, value = solve_standard_lp(np.append(c, 0.0), A_eq, np.append(b_eq, 1.0))
-    return max(-value * scale, 0.0), z[:n] - z[n : 2 * n]
+    return _nonnegative(-value * scale), z[:n] - z[n : 2 * n]
 
 
 def _pnorm_and_grad(rho, p):
@@ -198,7 +203,7 @@ def _descent_smooth(e_hat, A, p, starts):
     agree = len(values) > 1 and max(values) - best <= 1e-8 * max(1.0, best)
     if not (any_ok or agree):
         raise SolverFailure(f"descent (p={p}) missed tolerance within budget")
-    return max(best, 0.0)
+    return _nonnegative(best)
 
 
 def _irls_l1_complex(rho0, M, n):
@@ -303,7 +308,7 @@ def _descent_complex(e_hat, A, p, starts):
     agree = len(ordered) > 1 and ordered[1] - best <= 1e-7 * max(1.0, best)
     if not (any_ok or agree):
         raise SolverFailure(f"descent (p={p}) did not converge within budget")
-    return max(best, 0.0)
+    return _nonnegative(best)
 
 
 def _descent(e_hat, A, p) -> float:
@@ -336,6 +341,8 @@ def _route_table(e_hat, A, p) -> float:
 
 def _pivoted_basis(A):
     """Pivoted-QR orthonormal basis of A's columns, cut at |R_ii| <= DEPENDENCY_TOL * |R_00|."""
+    from scipy.linalg import qr  # loaded only when a p != 2 route runs
+
     Q, R, _ = qr(A, mode="economic", pivoting=True)
     r = np.abs(np.diag(R))
     return Q[:, : int(np.count_nonzero(r > DEPENDENCY_TOL * r[:1]))]
@@ -384,18 +391,24 @@ def prefix_distances(e: np.ndarray, generators, spec: NormSpec = L2) -> list:
     """[distance_batch_oracle(e, generators[:k], spec) for k = 1..K] from one QR.
 
     One unpivoted Householder QR of [A | e_hat] serves every prefix: at
-    p = 2 the k-th distance is ||R[k:, K]||, and at any other p the route
-    table runs on Q[:, :k].  A dropped zero column, K >= N or |R_ii| <=
-    DEPENDENCY_TOL (the columns are unit, so this is extend's test) falls
-    back to the oracle per prefix: a Householder step on a dependent column
-    would add to Q a direction that is not in the span.
+    p = 2 the k-th distance is ||R[k:, K]|| (Golub & Van Loan, 4th ed., 5.3),
+    read from numpy's mode="r" QR with no Q formed, and at any other p the
+    route table runs on Q[:, :k] of scipy's QR.  A dropped zero column,
+    K >= N or |R_ii| <= DEPENDENCY_TOL (the columns are unit, so this is
+    extend's test) falls back to the oracle per prefix: a Householder step
+    on a dependent column would add to Q a direction that is not in the span.
     """
     generators = list(generators)
     K = len(generators)
     if K:
         e_hat, A = _scaled_columns(e, generators, spec)
         if A.shape[1] == K < A.shape[0]:
-            Q, R = qr(np.column_stack([A, e_hat]), mode="economic")
+            M = np.column_stack([A, e_hat])
+            if spec.p == 2.0:
+                R = np.linalg.qr(M, mode="r")
+            else:
+                from scipy.linalg import qr  # loaded only when a p != 2 route runs
+                Q, R = qr(M, mode="economic")
             if np.abs(np.diag(R)[:K]).min() > DEPENDENCY_TOL:
                 if spec.p == 2.0:
                     return np.hypot.accumulate(np.abs(R[:0:-1, K]))[::-1].tolist()
@@ -495,4 +508,4 @@ def distance_convex_descent(e: np.ndarray, generators, spec: NormSpec = L2) -> f
     if np.linalg.norm(y_off) <= DEPENDENCY_TOL * np.linalg.norm(y):
         return 0.0  # y = 0, or in the span by extend's test: what is left is rounding
     q = 1 if spec.p == math.inf else math.inf
-    return max(float(e_hat @ y_off) / float(np.linalg.norm(y_off, q)), 0.0)
+    return _nonnegative(float(e_hat @ y_off) / float(np.linalg.norm(y_off, q)))

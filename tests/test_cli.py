@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import shlex
 
@@ -238,6 +239,24 @@ def test_dist_span_mode(capsys, tmp_path):
     assert code == 0, err
     # dist((1,1,1), span{e_1, e_2}) = 1 in l2
     assert "1.0" in out
+
+
+def test_dist_inside_the_span_reads_positive_zero(capsys, tmp_path):
+    # the real L1/Linf LP clamps its value at zero; a point in the span must
+    # read 0.0, not -0.0, in the summary and in the record
+    span_path = tmp_path / "span.json"
+    rec.write_record(span_path, rec.encode_vectors([np.array([2.0, 4.0, 6.0]),
+                                                    np.array([0.0, 1.0, 0.0])]))
+    for norm in ("l1", "linf"):
+        args = ["dist", "--span", str(span_path), "--x", "[1,2,3]", "--norm", norm]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0, err
+        assert "-0.0" not in out
+        code, out, err = run_cli(capsys, *args, "--format", "record")
+        assert code == 0, err
+        record = json.loads(out)
+        for key in ("value", "batchOracle", "convexDescent"):
+            assert math.copysign(1.0, record[key]) == 1.0, (norm, key, record[key])
 
 
 def test_dist_seeded_routes_agree(capsys):

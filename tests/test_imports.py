@@ -1,8 +1,11 @@
-"""scipy.optimize is loaded only when a solver needs it.
+"""scipy is loaded only when a p != 2 route needs it.
 
-An L2 run takes no LP and no descent, so a fresh interpreter that runs the
-L2 pipeline must never import scipy.optimize: its import is a large part of
-a short process's start-up time and memory.
+An L2 run takes no LP, no descent and no pivoted QR: its prefix distances
+read the R factor of numpy's QR.  So a fresh interpreter that imports
+orbitgap, runs the L2 pipeline (build, density, extract, verify), an L2
+distance on both routes, a certificate's encode -> decode round trip and an
+L2 `orbitgap extract` must never import a scipy module: scipy.linalg alone
+is most of a short process's start-up time and a third of its memory.
 """
 
 import os
@@ -12,23 +15,36 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-L2_PIPELINE = """
+L2_RUN = """
+import json
 import sys
+import numpy as np
 import orbitgap as og
+from orbitgap import records
+from orbitgap.cli import main
 targets = og.default_target_set(128, count=6, epsilon=1e-3)
 x = og.build_supercyclic_vector(2.0, targets, 128).x
 T = og.RolewiczMultiple(2.0)
 og.density_check(T, x, targets, 40)
 cert = og.extract_subsequence(T, x, og.ExtractionConfig(horizon=48, max_steps=8, theta=1.01))
 assert og.verify_certificate(cert, T, x).ok
-print("scipy.optimize" in sys.modules)
+rng = np.random.default_rng(3)
+gens = [rng.standard_normal(16) for _ in range(4)]
+e = rng.standard_normal(16)
+og.distance(e, og.SpanBasis.from_vectors(gens))
+og.distance_batch_oracle(e, gens)
+enc = records.dumps_record(records.encode_certificate(cert))
+back = records.decode_certificate(json.loads(enc.decode("ascii")))
+assert records.dumps_record(records.encode_certificate(back)) == enc
+assert main(["extract", "--operator", "rolewicz:2", "--dim", "128", "--steps", "6"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_l2_pipeline_leaves_scipy_optimize_unloaded():
+def test_l2_run_leaves_scipy_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", L2_PIPELINE], env=env, cwd=ROOT,
+    done = subprocess.run([sys.executable, "-c", L2_RUN], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.strip() == "False"
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -159,6 +159,20 @@ def test_oracle_ignores_dependent_generators():
         )
 
 
+@pytest.fixture
+def qr_modes(monkeypatch):
+    """The modes of the np.linalg.qr calls made while a test runs."""
+    modes = []
+    numpy_qr = np.linalg.qr
+
+    def recording(a, mode="reduced"):
+        modes.append(mode)
+        return numpy_qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    return modes
+
+
 def oracle_prefixes(e, gens, spec):
     return [distance_batch_oracle(e, gens[:k], spec) for k in range(1, len(gens) + 1)]
 
@@ -166,10 +180,11 @@ def oracle_prefixes(e, gens, spec):
 @pytest.mark.parametrize("spec,rtol",
                          [(L2, 1e-12), (NormSpec(3.0), 1e-6), (L1, 1e-9), (LINF, 1e-9)],
                          ids=["l2", "p3", "l1", "linf"])
-def test_prefix_distances_on_builder_vectors(monkeypatch, spec, rtol):
+def test_prefix_distances_on_builder_vectors(monkeypatch, qr_modes, spec, rtol):
     # the verifier's inputs on the builder's vector, whose entries run from
     # 1 down to ~1e-23 at N=128: the one-QR prefixes must match the oracle
-    # run on each prefix separately, without falling back to it
+    # run on each prefix separately, without falling back to it; p = 2
+    # reads R alone from numpy's QR, any other p takes scipy's Q
     T = RolewiczMultiple(2.0)
     x = build_supercyclic_vector(2.0, default_target_set(128, count=8), 128, spec).x
     assert 0.0 < np.abs(x[x != 0]).min() < 1e-20
@@ -179,23 +194,32 @@ def test_prefix_distances_on_builder_vectors(monkeypatch, spec, rtol):
     gens = [el.direction for el in stream if el.n in cert.indices]
     expected = oracle_prefixes(cert.scaled_x, gens, spec)
     monkeypatch.setattr(subspace, "distance_batch_oracle", None)
+    qr_modes.clear()
     got = prefix_distances(cert.scaled_x, gens, spec)
     assert got == pytest.approx(expected, rel=rtol, abs=0.0)
+    assert qr_modes == (["r"] if spec.p == 2.0 else [])
 
 
 @pytest.mark.parametrize("field", ["weighted", "complex"])
-def test_prefix_distances_weighted_and_complex_l2(monkeypatch, field):
+def test_prefix_distances_weighted_and_complex_l2(monkeypatch, qr_modes, field):
+    # p = 2 reads every prefix distance off R's last column: numpy's R-only
+    # QR, and never scipy's, which forms Q
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy's QR ran at p = 2")
+
     rng = np.random.default_rng(41)
     gens, _ = rand_span(rng, 24, 8, "complex" if field == "complex" else "real")
     e = rng.standard_normal(24) + (1j * rng.standard_normal(24) if field == "complex" else 0.0)
     spec = NormSpec(2.0, tuple(rng.uniform(0.1, 3.0, 24))) if field == "weighted" else L2
     expected = oracle_prefixes(e, gens, spec)
     monkeypatch.setattr(subspace, "distance_batch_oracle", None)
+    monkeypatch.setattr("scipy.linalg.qr", refuse)
     assert prefix_distances(e, gens, spec) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert qr_modes == ["r"]
 
 
 @pytest.mark.parametrize("spec", [L2, L1, NormSpec(3.0)], ids=["l2", "l1", "p3"])
-def test_prefix_distances_dependent_generators_fall_back(monkeypatch, spec):
+def test_prefix_distances_dependent_generators_fall_back(monkeypatch, qr_modes, spec):
     # a repeated generator leaves the span as it is, so every prefix must
     # come from the oracle, not from a Householder step on a noise column
     s = 1.0 / math.sqrt(2.0)
@@ -211,6 +235,8 @@ def test_prefix_distances_dependent_generators_fall_back(monkeypatch, spec):
     monkeypatch.setattr(subspace, "distance_batch_oracle", counted)
     assert prefix_distances(e, [v, v, w], spec) == expected
     assert calls == [1, 2, 3]
+    # at p = 2 the dependence test reads numpy's R-only QR
+    assert qr_modes == (["r"] if spec.p == 2.0 else [])
 
 
 def test_prefix_distances_of_no_generators():
@@ -226,6 +252,22 @@ def test_prefix_distances_with_as_many_generators_as_entries():
         got = prefix_distances(e, gens, spec)
         assert got == pytest.approx(oracle_prefixes(e, gens, spec), rel=1e-12, abs=1e-12)
         assert got[-1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_points_inside_the_span_read_positive_zero():
+    # max(-0.0, 0.0) is -0.0, so a clamped zero could reach a record as -0.0
+    e = np.array([1.0, 2.0, 3.0])
+    gens = [2.0 * e, np.array([0.0, 1.0, 0.0])]
+    for spec in (L1, LINF, L2, NormSpec(3.0)):
+        values = [
+            distance(e, SpanBasis.from_vectors(gens), spec),
+            distance_batch_oracle(e, gens, spec),
+            distance_batch_oracle(e, gens[:1], spec),
+            distance_convex_descent(e, gens, spec),
+            *prefix_distances(np.append(e, 0.0), list(np.eye(4)), spec)[2:],
+        ]
+        assert max(values) <= 1e-14, spec
+        assert [math.copysign(1.0, d) for d in values] == [1.0] * len(values), (spec, values)
 
 
 def test_distance_if_extended_matches_extend():
