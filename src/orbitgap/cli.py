@@ -17,12 +17,7 @@ import sys
 import numpy as np
 
 from . import records
-from .dynamics import (
-    TargetSet,
-    build_supercyclic_vector,
-    default_target_set,
-    density_check,
-)
+from .dynamics import build_supercyclic_vector, default_target_set, density_check
 from .errors import ConfigError, DimensionMismatch, OrbitgapError, UsageError
 from .extractor import ExtractionConfig, extract_subsequence, verify_certificate
 from .operators import BackwardShift, DenseMatrix, Diagonal, ForwardShift, RolewiczMultiple

@@ -2,19 +2,20 @@
 
 The extraction loop mirrors the inductive construction it implements:
 rescale x so that both its norm and its distance to span{Tx} sit above 1,
-fix n_1 = 1, then repeatedly pick the smallest later power whose orbit
-direction keeps x' at distance > theta from the grown span.  Candidates
-are unit directions only; span extension is scalar-invariant, so nothing
-is lost by dropping the scalar there.  The recorded distances certify
-dist(x', span{T^(n_k) x' : k <= K}) > theta at finite K.
+then, from the empty span, repeatedly pick the smallest power past the
+last whose orbit direction keeps x' at distance > theta from the grown
+span.  Candidates are unit directions only; span extension is
+scalar-invariant, so nothing is lost by dropping the scalar there.  The
+recorded distances certify dist(x', span{T^(n_k) x' : k <= K}) > theta.
 
 extract_subsequence is the only search: one run reads one orbit stream,
 each step scores the powers after n_(k-1) one at a time and the first that
-qualifies wins, so no power past n_K is generated or scored.  Scoring a
-candidate extends the span once, and the winner's extended span is kept.
-Each recorded distance is capped by its predecessor: the spans are nested,
-so the true ledger is non-increasing and a higher solver value is
-tolerance noise.
+qualifies wins, so no power past n_K is generated or scored.  n_1 = 1 is
+the scan's first candidate, scored by the same test; n_1 is fixed, so a
+miss at step 1 is a configuration error.  Scoring a candidate extends the
+span once, and the winner's extended span is kept.  Each recorded
+distance is capped by its predecessor: the spans are nested, so the true
+ledger is non-increasing and a higher solver value is tolerance noise.
 
 verify_certificate reruns everything from scratch against the batch
 oracle and reports the first violated check instead of raising.
@@ -111,8 +112,8 @@ def rescale_for_extraction(
 def extract_subsequence(T: OperatorSpec, x, cfg: ExtractionConfig) -> Certificate:
     """Run the full construction and return its certificate.
 
-    Rescale, set n_1 = 1 with Y_1 = span{Tx'}, then grow the span by the
-    smallest qualifying later powers until maxSteps indices are recorded.
+    Rescale, then grow the empty span by the smallest qualifying powers,
+    n_1 = 1 first, until maxSteps indices are recorded.
     Every recorded distance is the distance of x' to the span at that step,
     capped by the one before, so the last one certifies the final
     proper-span gap.  The run takes place on the prefix that holds x and
@@ -122,18 +123,8 @@ def extract_subsequence(T: OperatorSpec, x, cfg: ExtractionConfig) -> Certificat
     lam, xp = rescale_for_extraction(x[:m], Tm, spec, cfg.margin)
 
     stream = orbit_stream(Tm, xp, 1, cfg.horizon, spec)
-    first = next(stream)
-    if isinstance(first, ZeroOrbitMarker):
-        raise ZeroOrbit(first.n, "Tx is zero, no orbit to select from", step=1)
-    Y = SpanBasis.from_vectors([first.direction])
-    d1 = distance(xp, Y, spec)
-    if not d1 > cfg.theta + cfg.strict_tol:
-        raise ConfigError(
-            f"step 1 distance {d1} does not clear theta = {cfg.theta}; "
-            "the rescale margin guarantees only 1 + margin"
-        )
-    indices = [1]
-    distances = [d1]
+    Y = SpanBasis(np.zeros((0, m)))
+    indices, distances = [], []
     bar = cfg.theta + cfg.strict_tol
     while len(indices) < cfg.max_steps:
         step = len(indices) + 1
@@ -150,6 +141,11 @@ def extract_subsequence(T: OperatorSpec, x, cfg: ExtractionConfig) -> Certificat
             d = distance(xp, Z, spec)
             if d > bar:
                 break
+            if step == 1:  # n_1 = 1 is fixed: no later power may stand in
+                raise ConfigError(
+                    f"step 1 distance {d} does not clear theta = {cfg.theta}; "
+                    "the rescale margin guarantees only 1 + margin"
+                )
             if d > best[0]:
                 best = (d, elem.n)
         else:
@@ -157,7 +153,7 @@ def extract_subsequence(T: OperatorSpec, x, cfg: ExtractionConfig) -> Certificat
         Y = Z
         indices.append(elem.n)
         # nested spans: a value above its predecessor is solver noise
-        distances.append(min(d, distances[-1]))
+        distances.append(min(d, distances[-1]) if distances else d)
     scaled_x = lam * x
     scaled_x.flags.writeable = False
     return Certificate(
@@ -191,10 +187,12 @@ def verify_certificate(cert: Certificate, T: OperatorSpec, x_original) -> Verifi
 
     Checks, in order: index shape (strictly increasing, n_1 = 1), the scaled
     vector against lambdaScale times the original, orbit regeneration at the
-    certified indices inside the truncation ("truncation"), every prefix
-    distance against the batch oracle (1e-8 relative, all off one QR by
-    prefix_distances), every distance above theta, and the non-increasing
-    ledger.  The orbit and the distances run on the prefix that
+    certified indices inside the truncation ("truncation"), then the
+    ledger one step k at a time: d_k against the batch oracle (1e-8
+    relative, every prefix off one QR by prefix_distances), d_k > theta,
+    and d_k <= d_(k-1) + 1e-12.  A certificate failing several checks
+    reports its first failing step.  Every test is written so that a NaN
+    fails it.  The orbit and the distances run on the prefix that
     invariant_prefix keeps.  Never raises.
     """
     try:
@@ -211,7 +209,7 @@ def verify_certificate(cert: Certificate, T: OperatorSpec, x_original) -> Verifi
         if xp.shape != ref.shape:
             return _fail("scaled-vector", "scaled vector has wrong dimension")
         scale = max(1.0, float(np.abs(xp).max()))
-        if float(np.abs(xp - ref).max()) > 1e-12 * scale:
+        if not float(np.abs(xp - ref).max()) <= 1e-12 * scale:
             return _fail(
                 "scaled-vector", "scaledX does not equal lambdaScale times the original x"
             )
@@ -231,36 +229,16 @@ def verify_certificate(cert: Certificate, T: OperatorSpec, x_original) -> Verifi
 
         recomputed = prefix_distances(xp, [directions[n] for n in idx], spec)
         devs = [abs(d - c) / max(abs(c), 1e-300) for d, c in zip(recomputed, cert.distances)]
-        worst = max(devs)
-        if worst > 1e-8:
-            k_bad = devs.index(worst)
-            return _fail(
-                "distance-deviation",
-                f"distance {k_bad + 1} deviates by {worst:.3e} relative",
-                devs,
-                recomputed,
-            )
-        below = [k for k, d in enumerate(cert.distances) if not d > cert.theta]
-        if below:
-            return _fail(
-                "threshold",
-                f"distance {below[0] + 1} = {cert.distances[below[0]]} is not above "
-                f"theta = {cert.theta}",
-                devs,
-                recomputed,
-            )
-        rising = [
-            k
-            for k, (a, b) in enumerate(zip(cert.distances, cert.distances[1:]))
-            if b > a + 1e-12
-        ]
-        if rising:
-            return _fail(
-                "monotonicity",
-                f"distance increases from step {rising[0] + 1} to {rising[0] + 2}",
-                devs,
-                recomputed,
-            )
+        for k, (d, dev) in enumerate(zip(cert.distances, devs)):
+            if not dev <= 1e-8:
+                check, why = "distance-deviation", f"distance {k + 1} deviates by {dev:.3e} relative"
+            elif not d > cert.theta:
+                check, why = "threshold", f"distance {k + 1} = {d} is not above theta = {cert.theta}"
+            elif k and not d <= cert.distances[k - 1] + 1e-12:
+                check, why = "monotonicity", f"distance increases from step {k} to {k + 1}"
+            else:
+                continue
+            return _fail(check, why, devs, recomputed)
         return VerificationReport(
             ok=True,
             failed_check=None,
@@ -268,7 +246,7 @@ def verify_certificate(cert: Certificate, T: OperatorSpec, x_original) -> Verifi
                 f"scaled x stays at distance > {cert.theta} from the span of all "
                 f"{len(idx)} selected orbit elements"
             ),
-            max_rel_deviation=worst,
+            max_rel_deviation=max(devs),
             recomputed_distances=tuple(recomputed),
         )
     except TruncationTooSmall as exc:

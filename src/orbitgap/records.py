@@ -37,7 +37,7 @@ from .operators import (
     RolewiczMultiple,
 )
 from .space import COMPLEX, REAL, NormSpec, field_of, vector
-from .dynamics import BuildPlanEntry, BuildResult, DensityRecord, DensityReport, TargetSet
+from .dynamics import BuildPlanEntry, BuildResult, DensityReport, TargetSet
 from .extractor import Certificate, VerificationReport
 
 
@@ -63,14 +63,18 @@ def read_record(path) -> dict:
 
 
 def _json_number(value, key: str, kind=float):
-    """kind(value) for a JSON number, or a JSON integer when kind is int:
-    float() and int() alone would read true as 1, "3" as 3 and 2.5 as 2.
-    An integer beyond the float range is refused like a wrong type."""
+    """kind(value) for a finite JSON number, or a JSON integer when kind is
+    int: float() and int() alone would read true as 1, "3" as 3 and 2.5 as
+    2.  An integer beyond the float range is refused like a wrong type, and
+    so are the NaN, Infinity and -Infinity that json.loads reads."""
     if type(value) is int or (kind is float and type(value) is float):
         try:
-            return kind(value)
+            number = kind(value)
         except OverflowError:
             raise ValueError(f"values of {key!r} must fit a float") from None
+        if kind is float and not math.isfinite(number):
+            raise ValueError(f"values of {key!r} must be finite, got {value!r}")
+        return number
     name = "integers" if kind is int else "numbers"
     raise TypeError(f"values of {key!r} must be JSON {name}, got {value!r}")
 

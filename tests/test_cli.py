@@ -370,6 +370,10 @@ def test_operator_record_errors_are_usage_errors(capsys, tmp_path, operator, mes
     # a JSON integer beyond the float range: float() raises OverflowError
     (lambda record: record.update(lambdaScale=10**400), "'lambdaScale' must fit a float"),
     (lambda record: record["distances"].__setitem__(0, -10**400), "'distances' must fit a float"),
+    # json.loads reads NaN and Infinity, which no record may carry
+    (lambda record: record.update(lambdaScale=math.nan), "'lambdaScale' must be finite"),
+    (lambda record: record.update(theta=math.inf), "'theta' must be finite"),
+    (lambda record: record["distances"].__setitem__(1, -math.inf), "'distances' must be finite"),
 ])
 def test_verify_malformed_certificate_is_usage_error(capsys, tmp_path, edit, message):
     cert_path = tmp_path / "cert.json"

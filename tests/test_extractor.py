@@ -139,6 +139,19 @@ def test_orbit_death_reports_step():
     assert exc.value.step == 3
 
 
+def test_orbit_dying_at_n_1_is_the_scans_zero_orbit():
+    # Tx is nonzero, but T x' underflows: n_1 = 1 is the scan's first
+    # candidate, so its death is the scan's own ZeroOrbit at step 1
+    d = np.full(4, 1e-300)
+    d[-1] = 2e-300
+    cfg = ExtractionConfig(horizon=8, max_steps=2)
+    with pytest.raises(ZeroOrbit) as exc:
+        extract_subsequence(Diagonal(d=d), 1e150 * np.ones(4), cfg)
+    assert exc.value.step == 1
+    assert str(exc.value) == "orbit died at power n=1 before any candidate qualified at step 1"
+
+
+
 def test_failure_names_the_closest_miss():
     # an honest ZeroOrbit: every step-4 candidate stays below theta, the
     # best at n=21 (the seed-902 round-270 random-linf x of perfbench's nonl2)
@@ -286,6 +299,43 @@ def test_verify_rejects_inflated_ledger():
     assert not report.ok
 
 
+def _readme_certificate():
+    T = RolewiczMultiple(2.0)
+    built = build_supercyclic_vector(2.0, default_target_set(256, count=4), 256)
+    cert = extract_subsequence(T, built.x, ExtractionConfig(horizon=48, max_steps=6, theta=1.01))
+    assert cert.distances == (1.5,) * 6
+    return T, built.x, cert
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf], ids=["nan", "inf"])
+def test_verify_refuses_non_finite_lambda(lam):
+    T, x, cert = _readme_certificate()
+    with np.errstate(invalid="ignore"):  # inf * 0 on x's zero tail
+        report = verify_certificate(dataclasses.replace(cert, lambda_scale=lam), T, x)
+    assert report.failed_check == "scaled-vector", report.message
+
+
+def test_verify_refuses_nan_recomputed_distances(monkeypatch):
+    # max() drops a NaN that is not first, and NaN > 1e-8 is False
+    T, x, cert = _readme_certificate()
+    monkeypatch.setattr(extractor, "prefix_distances", lambda *args: [1.5] + [math.nan] * 5)
+    report = verify_certificate(cert, T, x)
+    assert report.failed_check == "distance-deviation", report.message
+    assert report.message.startswith("distance 2 deviates")
+
+
+def test_verify_refuses_a_plateau_rise():
+    # d_4 sits 5e-9 above d_3: within the deviation bound, above 1e-12
+    T, x, cert = _readme_certificate()
+    dists = list(cert.distances)
+    dists[3] *= 1 + 5e-9
+    report = verify_certificate(dataclasses.replace(cert, distances=tuple(dists)), T, x)
+    assert report.failed_check == "monotonicity"
+    assert report.message == "distance increases from step 3 to 4"
+    assert 0 < report.max_rel_deviation <= 1e-8
+
+
+
 def test_verify_never_raises_on_garbage():
     cert = Certificate(
         scaled_x=np.ones(4),
@@ -317,7 +367,7 @@ def test_builder_pipeline_at_lp_norms(spec, N):
 
 
 def test_scan_scores_each_power_once(monkeypatch):
-    # README pipeline: the run rejects n = 11, so powers 2..n_K are each
+    # README pipeline: the run rejects n = 11, so powers 1..n_K are each
     # scored once, by one extend whose span the winner keeps, and the orbit
     # is generated once (plus Tx in the rescale)
     T = RolewiczMultiple(2.0)
@@ -341,10 +391,11 @@ def test_scan_scores_each_power_once(monkeypatch):
     cert = extract_subsequence(T, built.x, cfg)
     n_K = cert.indices[-1]
     assert 11 not in cert.indices and n_K > 11
-    # one extend per scored power, plus the rescale's dependence test of x
-    assert calls["extend"] == (n_K - 1) + 1
-    # span{Tx} in the rescale and Y_1 = span{Tx'} in the run, one generator each
-    assert calls["from_vectors"] == 2
+    # one extend per scored power, n_1 = 1 included, plus the rescale's
+    # dependence test of x
+    assert calls["extend"] == n_K + 1
+    # span{Tx} in the rescale; the run starts from the empty span
+    assert calls["from_vectors"] == 1
     assert calls["apply"] == n_K + 1
 
 

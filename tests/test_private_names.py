@@ -1,9 +1,11 @@
-"""Every module-level private function or class in src/orbitgap/ has a caller.
+"""Every module-level private function or class in src/orbitgap/ has a
+caller, and every module-level import outside __init__.py is used.
 
 A helper whose last caller is deleted still imports, and its own tests
 still pass, but no program path reaches it.  This finds such a helper by
 name: a `_private` definition must be named somewhere in the package
-outside its own body.
+outside its own body.  An import whose last use is deleted is found the
+same way: the name it binds must appear in its own module.
 """
 
 import ast
@@ -38,3 +40,20 @@ def test_every_private_definition_is_named_elsewhere():
         if _private(node) and not any(node.name in names for top, names in named if top is not node)
     ]
     assert not orphans
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # imports there are the public surface
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{bound}"
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if (bound := (alias.asname or alias.name).split(".")[0]) not in used
+        ]
+    assert not unused

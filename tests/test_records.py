@@ -132,6 +132,26 @@ def test_certificate_field_order():
     ]
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["lambdaScale", "theta", "distances", "epsilons", "weights"])
+def test_decoders_refuse_non_finite_numbers(key, value):
+    # json.loads reads NaN, Infinity and -Infinity; no record may carry them
+    x = np.random.default_rng(42).uniform(0.5, 1.5, 32)
+    cert = extract_subsequence(RolewiczMultiple(2.0), x, ExtractionConfig(horizon=24, max_steps=3))
+    record, decode = rec.encode_certificate(cert), rec.decode_certificate
+    if key == "epsilons":
+        record, decode = rec.encode_targets(default_target_set(16, count=2)), rec.decode_targets
+        record["epsilons"][0] = value
+    elif key == "weights":
+        record["normSpec"]["weights"] = [1.0, 1.0, value] + [1.0] * 29
+    elif key == "distances":
+        record["distances"][1] = value
+    else:
+        record[key] = value
+    with pytest.raises(ValueError, match=f"values of '{key}' must be finite"):
+        decode(json.loads(json.dumps(record)))
+
+
 def test_build_roundtrip():
     ts = default_target_set(256, count=6, epsilon=1e-3)
     res = build_supercyclic_vector(2.0, ts, 256)
