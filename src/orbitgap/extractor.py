@@ -186,14 +186,14 @@ def verify_certificate(cert: Certificate, T: OperatorSpec, x_original) -> Verifi
     """Recompute everything about a certificate from scratch.
 
     Checks, in order: index shape (strictly increasing, n_1 = 1), the scaled
-    vector against lambdaScale times the original, orbit regeneration at the
-    certified indices inside the truncation ("truncation"), then the
-    ledger one step k at a time: d_k against the batch oracle (1e-8
-    relative, every prefix off one QR by prefix_distances), d_k > theta,
-    and d_k <= d_(k-1) + 1e-12.  A certificate failing several checks
-    reports its first failing step.  Every test is written so that a NaN
-    fails it.  The orbit and the distances run on the prefix that
-    invariant_prefix keeps.  Never raises.
+    vector against lambdaScale times the original (which must be finite),
+    orbit regeneration at the certified indices inside the truncation
+    ("truncation"), then the ledger one step k at a time: d_k against the
+    batch oracle (1e-8 relative, every prefix off one QR by
+    prefix_distances), d_k > theta, and d_k <= d_(k-1) + 1e-12.  A
+    certificate failing several checks reports its first failing step.
+    Every test is written so that a NaN fails it.  The orbit and the
+    distances run on the prefix that invariant_prefix keeps.  Never raises.
     """
     try:
         idx = list(cert.indices)
@@ -204,10 +204,13 @@ def verify_certificate(cert: Certificate, T: OperatorSpec, x_original) -> Verifi
         if any(b <= a for a, b in zip(idx, idx[1:])):
             return _fail("indices", "indices are not strictly increasing")
 
-        xp = cert.lambda_scale * np.asarray(x_original)
+        with np.errstate(over="ignore", invalid="ignore"):
+            xp = cert.lambda_scale * np.asarray(x_original)
         ref = np.asarray(cert.scaled_x)
         if xp.shape != ref.shape:
             return _fail("scaled-vector", "scaled vector has wrong dimension")
+        if not np.isfinite(xp).all():  # an infinite scale would pass any scaledX
+            return _fail("scaled-vector", "lambdaScale times the original x is not finite")
         scale = max(1.0, float(np.abs(xp).max()))
         if not float(np.abs(xp - ref).max()) <= 1e-12 * scale:
             return _fail(

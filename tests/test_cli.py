@@ -171,6 +171,23 @@ def test_verify_tampered_fails(capsys, tmp_path):
     assert out.startswith("FAIL")
 
 
+def test_verify_overflowing_lambda_scale_fails_scaled_vector(capsys, tmp_path):
+    # a finite lambdaScale whose product with x overflows: the report names
+    # scaled-vector and encodes, where it was a JSON traceback
+    x, cert_path = json.dumps(np.linspace(2.0, 2.31, 32).tolist()), tmp_path / "cert.json"
+    code, _, err = run_cli(
+        capsys, "extract", "--operator", "rolewicz:2", "--x", x,
+        "--steps", "4", "--horizon", "24", "--theta", "1.01", "--out", str(cert_path),
+    )
+    assert code == 0, err
+    record = json.loads(cert_path.read_text())
+    record["lambdaScale"] = 1e308
+    cert_path.write_text(json.dumps(record))
+    code, out, _ = run_cli(capsys, "verify", str(cert_path), "--x", x)
+    assert code == 1
+    assert out.startswith("FAIL  scaled-vector: lambdaScale times the original x is not finite")
+
+
 def test_extract_record_format_is_canonical(capsys):
     code, out, err = run_cli(
         capsys, "extract", "--operator", "rolewicz:2", "--dim", "512",

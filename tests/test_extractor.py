@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,22 @@ def test_verify_refuses_non_finite_lambda(lam):
     with np.errstate(invalid="ignore"):  # inf * 0 on x's zero tail
         report = verify_certificate(dataclasses.replace(cert, lambda_scale=lam), T, x)
     assert report.failed_check == "scaled-vector", report.message
+
+
+@pytest.mark.parametrize("x,lam", [
+    (np.linspace(2.0, 2.31, 32), 1e308),  # finite lambda, lambda * x overflows
+    (np.random.default_rng(0).uniform(0.5, 1.5, 64), math.inf),  # no zero entry: no inf * 0
+], ids=["overflow", "inf"])
+def test_verify_refuses_an_infinite_scaled_vector(x, lam):
+    # max(1, |lambda x|) = inf would let any scaledX pass within 1e-12 * inf
+    T = RolewiczMultiple(2.0)
+    cert = extract_subsequence(T, x, ExtractionConfig(horizon=24, max_steps=4, theta=1.01))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or divide RuntimeWarning either
+        report = verify_certificate(dataclasses.replace(cert, lambda_scale=lam), T, x)
+    assert report.failed_check == "scaled-vector", report.message
+    assert report.message == "lambdaScale times the original x is not finite"
+    rec.dumps_record(rec.encode_verification(report))  # the report stays JSON
 
 
 def test_verify_refuses_nan_recomputed_distances(monkeypatch):

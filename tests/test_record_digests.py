@@ -3,11 +3,12 @@
 A change of factorization (a QR that forms Q differently, say) can move a
 recorded distance by an ulp without failing any tolerance, so this test pins
 the record bytes themselves.  The sweep draws builder vectors for seeds 902,
-904 and 908 at N=256, K=16, horizon 96, theta=1.01, p in {2, 1.5, 3, inf}:
+904 and 908 at N=256, K=16, horizon 96, theta=1.01, p in {2, 1.5, 3, inf, 1}:
 on these seeds the certified distances vary (3-12 distinct values per
 certificate), and swapping p = 1.5's unpivoted QR for numpy's reduced QR
 changes two of the verification digests.  Seeds whose distances all stay
 at the rescaled 1.5 (900-903 at N=128, K=8, for one) would not see it.
+p = 1 pins the dual LP's route (6 distinct distances at seeds 904 and 908).
 
 The digests depend on the LAPACK build, so the test runs only when numpy's
 BLAS is the scipy-openblas wheel build they were taken with.
@@ -52,6 +53,12 @@ DIGESTS = {
     (908, 3.0, "verification"): "d681606738dbeeba14da5c7512fba6ee9f300408553ad988381689a29ac9a244",
     (908, math.inf, "certificate"): "9eb6d298400ad18451f6bc569930a93762f8f3c13fdf21a1db03be195e81e405",
     (908, math.inf, "verification"): "4322e4fa3822e60363a307c43732f1386fe4451a0d2ccac08fd05b5f8c6a743e",
+    (902, 1.0, "certificate"): "ec58fd5f789aee703c40e5909f26576d9bd18ea6e13f79ff3ccf381d3a1a50d9",
+    (902, 1.0, "verification"): "1136e20c50565d4d330101ab3d397dec0a655a12ffb3a9dcd4bccf25e24ad06c",
+    (904, 1.0, "certificate"): "cd633c3371119394acc11a54cc315c6faf7721dc40becf8480a8e6e27b66a8b4",
+    (904, 1.0, "verification"): "3c1ad9976528b6d1608b22f4e9723854101582d1dad10338a1a43ebc1b7676f7",
+    (908, 1.0, "certificate"): "9078fc952cb1a7ddbc2f390c5800ff95ef31fbc3d316320aa57f03ce06d37c3a",
+    (908, 1.0, "verification"): "4e701d73fb34e09219d99f41e49123fca07e37cc8bc8551af05fec722b3022c7",
 }
 
 
@@ -71,7 +78,7 @@ def _builder_run(seed, p):
 
 @pytest.mark.skipif(BLAS != "scipy-openblas", reason=f"digests taken with scipy-openblas, not {BLAS}")
 @pytest.mark.parametrize("seed", [902, 904, 908])
-@pytest.mark.parametrize("p", [2.0, 1.5, 3.0, math.inf], ids=["l2", "p1.5", "p3", "linf"])
+@pytest.mark.parametrize("p", [2.0, 1.5, 3.0, math.inf, 1.0], ids=["l2", "p1.5", "p3", "linf", "l1"])
 def test_builder_records_hash_as_committed(seed, p):
     cert, report = _builder_run(seed, p)
     assert report.ok

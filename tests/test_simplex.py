@@ -95,3 +95,30 @@ def test_upper_bound_caps_the_variables():
     x, val = solve_standard_lp(c, A, b, upper=3.0)
     assert val == pytest.approx(-9.0, abs=1e-10)
     assert np.allclose(x, [3.0, 3.0], atol=1e-10)
+
+
+def _dual_distance_lps(rng, count):
+    """The two LP shapes subspace._lp_distance builds, on seeded instances:
+    p = 1 boxes 0 <= z <= 1, p = inf adds the row sum(z) + s = 1."""
+    for i in range(count):
+        n = int(rng.integers(2, 257))
+        k = int(rng.integers(1, min(16, n - 1) + 1))
+        if i % 2:  # the builder's scales: entries +-2^-m
+            e, A = (rng.choice([-1.0, 1.0], s) * 2.0 ** -rng.integers(0, 76, s) for s in (n, (n, k)))
+        else:
+            e, A = rng.standard_normal(n), rng.standard_normal((n, k))
+        c = np.concatenate([-e, e]) / np.abs(e).max()
+        A_eq = np.hstack([A.T, -A.T])
+        yield c, A_eq, np.zeros(k), 1.0
+        A_eq = np.block([[A_eq, np.zeros((k, 1))], [np.ones((1, 2 * n + 1))]])
+        yield np.append(c, 0.0), A_eq, np.append(np.zeros(k), 1.0), None
+
+
+def test_dual_distance_lps_match_linprog_bit_for_bit():
+    # milp hands HiGHS the model linprog built, so (z, value) keep their bytes
+    for c, A, b, upper in _dual_distance_lps(np.random.default_rng(24), 40):
+        z, value = solve_standard_lp(c, A, b, upper=upper)
+        ref = linprog(c, A_eq=A, b_eq=b, bounds=(0.0, upper), method="highs",
+                      options={"presolve": False})
+        assert ref.status == 0
+        assert np.array_equal(z, ref.x) and value == ref.fun, A.shape
