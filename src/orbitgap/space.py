@@ -68,7 +68,7 @@ def field_of(v: np.ndarray) -> str:
     return COMPLEX if np.iscomplexobj(v) else REAL
 
 
-def vector(entries, field: str = REAL, dim: int | None = None) -> np.ndarray:
+def vector(entries, field: str = REAL) -> np.ndarray:
     """Build a validated vector: 1-D, length >= 2, all entries finite.
 
     The returned array is marked read-only; every operation in this package
@@ -84,8 +84,6 @@ def vector(entries, field: str = REAL, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
     if v.shape[0] < 2:
         raise DimensionMismatch(f"truncation dimension must be >= 2, got {v.shape[0]}")
-    if dim is not None and v.shape[0] != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {v.shape[0]}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     v = v.copy()

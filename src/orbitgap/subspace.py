@@ -13,7 +13,8 @@ Distance routes, one table (_route_table), chosen by p and field:
   p in {1, inf}, real      exact dual linear program, solved by HiGHS
   anything else            _descent: the least-squares residual's p-norm
                            inside the span (either field), otherwise
-    p in {1, inf}, complex   SLSQP on the modulus cone (|r_j| is not linear)
+    p in {1, inf}, complex   a log-barrier method on the modulus cones
+                             |r_j| <= t_j (_cone_distance; |r_j| is not linear)
     any other p              L-BFGS on the smooth p-norm
 distance() on the unweighted Euclidean norm skips the table: the residual
 against the orthonormal basis is already exact.
@@ -24,7 +25,9 @@ generators, at any other p on a column-pivoted Householder QR basis of them.
 prefix_distances gives the oracle's value at every prefix from one unpivoted
 QR of [A | e_hat] (||R[k:, K]|| from numpy's R-only QR at p = 2, the route
 table on Q[:, :k] of scipy's QR else), and runs the oracle per prefix
-instead when a generator is dependent.  Only p != 2 routes import scipy.
+instead when a generator is dependent.  scipy is imported only inside the
+functions that call it, so p = 2 and the complex p in {1, inf} distance()
+load none of it.
 distance_convex_descent runs _descent on the raw columns, but at real p in
 {1, inf} it gives the Holder bound <e_hat, y> / ||y||_q of the LP's maximizer.
 """
@@ -206,128 +209,113 @@ def _descent_smooth(e_hat, A, p, starts):
     return _nonnegative(best)
 
 
-def _irls_l1_complex(rho0, M, n):
-    """Iteratively reweighted least squares for min sum_j |r_j|, complex r.
+def _cone_distance(r0, A, p):
+    """min_a ||r0 - A a||_p over complex a, p in {1, inf}, by a log-barrier method.
 
-    Works in the real embedding; the smoothing delta is annealed so each
-    step is a well-posed weighted lstsq.  Returns the coefficient point.
+    Each stage minimizes tau * (sum_j t_j at p = 1, t at p = inf) minus
+    sum_j log(t_j^2 - |r_j|^2) over z, the real and imaginary parts of a,
+    by damped Newton steps z += dz / (1 + lam), lam^2 = -grad . dz (Boyd &
+    Vandenberghe, Convex Optimization, 9.6 and 11.3).  No line search: an
+    Armijo test cannot see a decrease below the barrier's rounding.  A point
+    centred to lam^2 <= 1e-6 is within 2n / tau (the barrier parameter 2n
+    over tau) of the optimum, so the last stage centres that far, and ends
+    once 2n / tau <= 1e-10 * max(1, value); earlier stages only need to
+    start the next one near the central path, and stop at lam^2 <= 0.1.
+    tau starts at 2n and grows x100 per stage, but to at most twice the
+    value the stopping test needs, as the rounding floor of lam^2 grows
+    with tau.  r0, a least-squares residual, is scaled to max-abs 1, so it
+    is at least 1 / sqrt(n) from the span and nearby points keep their digits.
+
+    Newton steps do not depend on coordinates: the columns give way to an
+    orthonormal basis of their span, cut where lstsq's default rcond cut
+    when r0 was computed (raw columns may be dependent or tiny).  The
+    Hessian K^T diag(w) K has every w > 0, K holding each cone's directions
+    along u_j = r_j / |r_j| and along i u_j in z; written as I / t_j minus a
+    rank-one term, the small curvature along u_j is lost to rounding.  At
+    p = 1 each t_j is minimized out, t_j = (1 + s_j) / tau with
+    s_j = sqrt(1 + tau^2 |r_j|^2), leaving w = tau / (t_j s_j) along u_j and
+    tau / t_j along i u_j.  At p = inf t is one more unknown, the log splits
+    into the slacks t -+ |r_j| with w = 1 / slack^2 (both must stay
+    positive, which keeps t off the nappe t < -|r_j|), and i u_j has
+    w = 2 / (t^2 - |r_j|^2).  The Hessian's condition grows like tau^2: it
+    is scaled to unit diagonal, and lstsq drops the directions lost to
+    rounding, where solve steps out of the cone.  A stage that does not
+    centre in 60 steps, or an iterate that leaves the cone or is not finite,
+    raises SolverFailure.
     """
-    beta, *_ = np.linalg.lstsq(M, rho0, rcond=None)
-    rho = rho0 - M @ beta
-    m = np.sqrt(rho[:n] ** 2 + rho[n:] ** 2)
-    delta = max(float(m.max()) * 0.1, 1e-12)
-    for _ in range(160):
-        rho = rho0 - M @ beta
-        m2 = rho[:n] ** 2 + rho[n:] ** 2
-        w = np.sqrt(1.0 / np.sqrt(m2 + delta * delta))
-        sw = np.concatenate([w, w])
-        beta, *_ = np.linalg.lstsq(sw[:, None] * M, sw * rho0, rcond=None)
-        delta = max(delta * 0.6, 1e-13)
-    return beta
-
-
-def _descent_complex(e_hat, A, p, starts):
-    """Complex l1 / linf distance via the real embedding, p in {1, inf}.
-
-    The modulus cone |r_j| <= s_j is written with the smooth constraint
-    s_j^2 - |r_j|^2 >= 0, s_j >= 0 (the same convex set), and SLSQP
-    minimizes the linear objective over it from each start; at p = 1 an
-    IRLS point joins the starts to guard against stalls.  Every start and
-    every SLSQP result is scored by its true objective, so the reported
-    value is the best certified upper bound among them.
-    """
-    from scipy.optimize import minimize  # loaded only when a descent runs
-
-    # real stacking: residual pairs (Re r_j, Im r_j) over real coefficients
-    n, k = A.shape
-    M = np.block([[A.real, -A.imag], [A.imag, A.real]])
-    rho0 = np.concatenate([e_hat.real, e_hat.imag])
-
-    def moduli(beta):
-        rho = rho0 - M @ beta
-        return rho, np.sqrt(rho[:n] ** 2 + rho[n:] ** 2)
-
-    def value_of(beta):
-        _, m = moduli(beta)
-        return float(m.max()) if p == math.inf else float(m.sum())
-
-    nslack = 1 if p == math.inf else n
-    dim = 2 * k + nslack
-
-    def split(z):
-        return z[: 2 * k], z[2 * k :]
-
-    def cone(z):
-        beta, s = split(z)
-        rho, m = moduli(beta)
-        t = np.full(n, s[0]) if p == math.inf else s
-        return rho, m, t
-
-    def cons_fun(z):
-        _, m, t = cone(z)
-        return t * t - m * m
-
-    def cons_jac(z):
-        rho, m, t = cone(z)
-        dbeta = 2.0 * (rho[:n, None] * M[:n, :] + rho[n:, None] * M[n:, :])
-        ds = np.zeros((n, nslack))
-        if p == math.inf:
-            ds[:, 0] = 2.0 * t
+    n = A.shape[0]
+    scale = float(np.abs(r0).max())
+    r0 = r0 / scale
+    U, sv, _ = np.linalg.svd(A, full_matrices=False)
+    A = np.ascontiguousarray(U[:, sv > np.finfo(float).eps * max(A.shape) * sv[:1]])
+    Ac, k = A.conj(), A.shape[1]
+    inf = p == math.inf
+    K = np.zeros(((2 + inf) * n, 2 * k + inf))
+    # at p = inf the rows of K are d(t - |r_j|), -d(t + |r_j|) and i u_j, all
+    # over d(z, t); sign restores the second block's sign in the gradient
+    K[:n, 2 * k :], K[n : 2 * n, 2 * k :] = 1.0, -1.0
+    sign = np.repeat([1.0, -1.0], n)
+    a, t = np.zeros(k, dtype=np.complex128), 2.0
+    tau, steps = 2.0 * n, 0
+    while True:
+        r = r0 - A @ a
+        rho = np.abs(r)
+        B = Ac * np.exp(1j * np.angle(r))[:, None]
+        K[-n:, : 2 * k] = (1j * B).view(np.float64)
+        if inf:
+            sig = np.concatenate([t - rho, t + rho])
+            if not sig.min() > 0.0:
+                break
+            K[:n, :-1] = K[n : 2 * n, :-1] = B.view(np.float64)
+            inv = sign / sig
+            grad = -(K[: 2 * n].T @ inv)
+            grad[-1] += tau
+            w = np.concatenate([inv * inv, -2.0 * inv[:n] * inv[n:]])
         else:
-            ds[np.arange(n), np.arange(n)] = 2.0 * t
-        return np.hstack([dbeta, ds])
-
-    def objective(z):
-        return float(np.sum(split(z)[1]))
-
-    def obj_jac(z):
-        g = np.zeros(dim)
-        g[2 * k :] = 1.0
-        return g
-
-    candidates = list(starts)
-    if p == 1.0:
-        candidates.append(_irls_l1_complex(rho0, M, n))
-
-    bounds = [(None, None)] * (2 * k) + [(0.0, None)] * nslack
-    values = [value_of(b) for b in candidates]
-    any_ok = False
-    for b0 in candidates:
-        _, m_at = moduli(b0)
-        s0 = np.full(1, m_at.max()) if p == math.inf else m_at
-        z0 = np.concatenate([b0, s0 * 1.001 + 1e-9])
-        res = minimize(objective, z0, jac=obj_jac, bounds=bounds,
-                       constraints=[{"type": "ineq", "fun": cons_fun, "jac": cons_jac}],
-                       method="SLSQP", options={"maxiter": 800, "ftol": 1e-14})
-        any_ok = any_ok or bool(res.success)
-        values.append(value_of(split(res.x)[0]))
-    ordered = sorted(values)
-    best = ordered[0]
-    # SLSQP can stall in the linesearch exactly at the optimum; two routes
-    # meeting at the minimum is the convexity-backed acceptance for that
-    agree = len(ordered) > 1 and ordered[1] - best <= 1e-7 * max(1.0, best)
-    if not (any_ok or agree):
-        raise SolverFailure(f"descent (p={p}) did not converge within budget")
-    return _nonnegative(best)
+            s = np.sqrt(1.0 + (tau * rho) ** 2)
+            tj = (1.0 + s) / tau
+            K[:n] = B.view(np.float64)
+            grad = -tau * (K[:n].T @ (rho / tj))
+            w = tau * np.concatenate([1.0 / (tj * s), 1.0 / tj])
+        H = K.T @ (K * w[:, None])
+        d = np.diag(H) ** -0.5
+        try:
+            dz = d * np.linalg.lstsq(H * d * d[:, None], -grad * d, rcond=None)[0]
+        except np.linalg.LinAlgError:  # its SVD did not converge: H is not finite
+            break
+        lam2 = float(-grad @ dz)
+        if lam2 <= 0.1:
+            value = float(rho.sum() if p == 1.0 else rho.max())
+            need = 2.0 * n / (1e-10 * max(1.0, value))  # the tau that passes the stopping test
+            if tau < need:
+                tau, steps = min(100.0 * tau, 2.0 * need), 0
+                continue
+            if lam2 <= 1e-6:
+                return value * scale
+        if not (math.isfinite(lam2) and steps < 60):
+            break
+        step = dz / (1.0 + math.sqrt(lam2))
+        a, t, steps = a + step[: 2 * k].view(np.complex128), t + step[-1] * inf, steps + 1
+    raise SolverFailure(f"cone barrier (p={p}) stalled with gap bound {2.0 * n / tau * scale:.3g}")
 
 
 def _descent(e_hat, A, p) -> float:
     """min_a ||e_hat - A a||_p at smooth p, or at p in {1, inf} on complex
-    columns (real ones take the LP), from the least-squares and zero starts,
-    complex coefficients stacked as (Re, Im).  A least-squares residual within
-    1e-13 * max(1, max|e_hat|) of zero puts e_hat in the span, whatever p:
-    its p-norm is returned, since there the p-norm's gradient stays O(1) and
-    the cone constraints degenerate, so no descent would settle."""
+    columns (real ones take the LP), from the least-squares residual r0.  An
+    r0 within 1e-13 * max|e_hat| of zero puts e_hat in the span, whatever p:
+    its p-norm is returned, since there the p-norm's gradient stays O(1)
+    and no descent would settle.  Otherwise smooth p runs L-BFGS from the
+    least-squares and zero starts, complex coefficients stacked as
+    (Re, Im), and p in {1, inf} runs _cone_distance on r0."""
     coef, *_ = np.linalg.lstsq(A, e_hat, rcond=None)
     r0 = e_hat - A @ coef
-    if float(np.abs(r0).max()) <= 1e-13 * max(1.0, float(np.abs(e_hat).max())):
+    if float(np.abs(r0).max()) <= 1e-13 * float(np.abs(e_hat).max()):
         return norm(r0, NormSpec(p))
+    if p in (1.0, math.inf):
+        return _cone_distance(r0, A, p)
     if np.iscomplexobj(coef):
         coef = np.concatenate([coef.real, coef.imag])
-    starts = [coef, np.zeros_like(coef)]
-    if p not in (1.0, math.inf):
-        return _descent_smooth(e_hat, A, p, starts)
-    return _descent_complex(e_hat, A, p, starts)
+    return _descent_smooth(e_hat, A, p, [coef, np.zeros_like(coef)])
 
 
 def _route_table(e_hat, A, p) -> float:

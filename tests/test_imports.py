@@ -1,11 +1,13 @@
-"""scipy is loaded only when a p != 2 route needs it.
+"""scipy is loaded only when a route needs it.
 
 An L2 run takes no LP, no descent and no pivoted QR: its prefix distances
 read the R factor of numpy's QR.  So a fresh interpreter that imports
 orbitgap, runs the L2 pipeline (build, density, extract, verify), an L2
 distance on both routes, a certificate's encode -> decode round trip and an
 L2 `orbitgap extract` must never import a scipy module: scipy.linalg alone
-is most of a short process's start-up time and a third of its memory.
+is most of a short process's start-up time and a third of its memory.  The
+complex L1 and Linf barrier is numpy alone too, so `distance` there loads
+no scipy module either.
 """
 
 import os
@@ -41,10 +43,31 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_l2_run_leaves_scipy_unloaded():
+COMPLEX_CONE_DISTANCE = """
+import sys
+import numpy as np
+import orbitgap as og
+rng = np.random.default_rng(5)
+gens = [rng.standard_normal(16) + 1j * rng.standard_normal(16) for _ in range(4)]
+e = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+Y = og.SpanBasis.from_vectors(gens)
+assert og.distance(e, Y, og.L1) > og.distance(e, Y, og.LINF) > 0.0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def scipy_modules_after(snippet):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", L2_RUN], env=env, cwd=ROOT,
+    done = subprocess.run([sys.executable, "-c", snippet], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def test_l2_run_leaves_scipy_unloaded():
+    assert scipy_modules_after(L2_RUN) == "[]"
+
+
+def test_complex_cone_distance_leaves_scipy_unloaded():
+    assert scipy_modules_after(COMPLEX_CONE_DISTANCE) == "[]"

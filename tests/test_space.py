@@ -78,8 +78,6 @@ def test_vector_constructors():
     assert e[2] == 1.0 and norm(e, L1) == 1.0
     v = vector([1, 2, 3])
     assert v.dtype == np.float64
-    with pytest.raises(DimensionMismatch):
-        vector([1.0, 2.0], dim=3)
 
 
 def test_weight_array_dim_check():

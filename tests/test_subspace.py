@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +32,9 @@ from orbitgap import (
 )
 from orbitgap import subspace
 from orbitgap.subspace import DEPENDENCY_TOL, _pnorm_and_grad, prefix_distances
-from orbitgap.errors import DimensionMismatch
+from orbitgap.errors import DimensionMismatch, SolverFailure
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def rand_span(rng, dim, rank, field="real"):
@@ -418,6 +424,122 @@ def test_complex_distances():
                 assert a == pytest.approx(b, rel=1e-7, abs=1e-9), (spec, dim, rank)
                 assert a == pytest.approx(c, rel=1e-6, abs=1e-9), (spec, dim, rank)
             assert a <= 1e-9, (spec, dim, rank)
+
+
+def three_routes(e, gens, spec):
+    return [distance(e, SpanBasis.from_vectors(gens), spec),
+            distance_batch_oracle(e, gens, spec),
+            distance_convex_descent(e, gens, spec)]
+
+
+@pytest.mark.parametrize("spec", [L1, LINF], ids=["l1", "linf"])
+def test_complex_cone_routes_agree(spec):
+    # the three routes reach one barrier solver, on bases that differ only
+    # by rounding, so they meet far below the solver's 1e-10 gap bound
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        dim = int(rng.integers(4, 33))
+        gens, _ = rand_span(rng, dim, int(rng.integers(1, min(8, dim - 1) + 1)), "complex")
+        e = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        a, b, c = three_routes(e, gens, spec)
+        assert b == pytest.approx(a, rel=1e-12, abs=0.0), (dim, len(gens))
+        assert c == pytest.approx(a, rel=1e-12, abs=0.0), (dim, len(gens))
+
+
+@pytest.mark.parametrize("spec", [L1, LINF], ids=["l1", "linf"])
+def test_complex_cone_distance_scales_with_the_point(spec):
+    # d(c e) = c d(e): the inside-span test and the barrier's stopping
+    # test are both relative, so neither tiny nor huge points read high
+    rng = np.random.default_rng(8)
+    gens, _ = rand_span(rng, 12, 3, "complex")
+    e = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    unit = three_routes(e, gens, spec)
+    for c in (1e-20, 1e20):
+        assert np.array(three_routes(c * e, gens, spec)) / c == pytest.approx(unit, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [L1, LINF], ids=["l1", "linf"])
+def test_complex_cone_distance_near_the_span(spec):
+    # a point 1e-9 off the span keeps its relative accuracy: only the
+    # rounding of the span element itself (1e-16 / 1e-9) is lost
+    rng = np.random.default_rng(9)
+    gens, _ = rand_span(rng, 16, 4, "complex")
+    e = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    inside = sum((rng.standard_normal() + 1j * rng.standard_normal()) * g for g in gens)
+    d = distance_batch_oracle(e, gens, spec)
+    assert three_routes(inside + 1e-9 * e, gens, spec) == pytest.approx([1e-9 * d] * 3, rel=1e-6)
+
+
+@pytest.mark.parametrize("spec", [L1, LINF], ids=["l1", "linf"])
+def test_complex_cone_distance_with_dependent_raw_columns(spec):
+    # distance_convex_descent takes the raw columns: a repeated one, or a
+    # zero one, must leave the span and the distance as they are
+    rng = np.random.default_rng(10)
+    g, h = (rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(2))
+    e = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    d = distance_batch_oracle(e, [g, h], spec)
+    assert distance_convex_descent(e, [g, g, h], spec) == pytest.approx(d, rel=1e-12)
+    assert distance_convex_descent(e, [g, 2j * g, h], spec) == pytest.approx(d, rel=1e-12)
+    zero = np.zeros(6, dtype=complex)
+    assert distance_convex_descent(e, [zero], spec) == pytest.approx(norm(e, spec), rel=1e-15)
+
+
+def test_complex_cone_distance_hand_values():
+    # e = (1+i, 2-i) against span{(i, 1)}: with a = 2 - i - w the residual is
+    # (i (w - 1), w), so the distance is min |w - 1| + |w| = 1 at p = 1 and
+    # min max(|w - 1|, |w|) = 1/2 at p = inf
+    e, gens = np.array([1 + 1j, 2 - 1j]), [np.array([1j, 1.0])]
+    assert three_routes(e, gens, L1) == pytest.approx([1.0] * 3, rel=1e-12)
+    assert three_routes(e, gens, LINF) == pytest.approx([0.5] * 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [L1, LINF], ids=["l1", "linf"])
+@pytest.mark.parametrize("newton", ["nan", "raises"])
+def test_complex_cone_distance_fails_closed(monkeypatch, spec, newton):
+    # a Newton system that yields no finite step ends the solve with a
+    # SolverFailure naming p, never with a value or a numpy error
+    lstsq = np.linalg.lstsq
+
+    def broken(a, b, rcond=None):
+        if a.shape[0] != a.shape[1]:  # the least-squares start, not a Newton system
+            return lstsq(a, b, rcond=rcond)
+        if newton == "raises":
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        return (np.full(a.shape[1], np.nan),)
+
+    monkeypatch.setattr(np.linalg, "lstsq", broken)
+    rng = np.random.default_rng(12)
+    gens, Y = rand_span(rng, 8, 2, "complex")
+    e = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    with pytest.raises(SolverFailure, match=f"p={spec.p}"):
+        distance(e, Y, spec)
+
+
+SEED_70362_DRAW = """
+import numpy as np
+import orbitgap as og
+rng = np.random.default_rng(70362)
+dim, rank = int(rng.integers(4, 33)), int(rng.integers(1, 8))
+gens = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(rank)]
+e = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+print(og.distance(e, og.SpanBasis.from_vectors(gens), og.L1),
+      og.distance_batch_oracle(e, gens, og.L1), og.distance_convex_descent(e, gens, og.L1))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_complex_l1_draw_that_depended_on_blas_threads(threads):
+    # dim 32, rank 7: a draw on which a cone solver that depended on the
+    # BLAS reduction order failed with one thread and passed with two; the
+    # thread count is fixed at start-up, so each runs in a fresh interpreter
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", SEED_70362_DRAW], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    values = [float(v) for v in done.stdout.split()]
+    assert values == pytest.approx([37.8941032351] * 3, rel=1e-10)
+    assert max(values) - min(values) <= 1e-12 * values[0]
 
 
 def test_pnorm_gradient_on_complex_residuals():
