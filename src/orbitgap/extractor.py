@@ -177,7 +177,7 @@ def _fail(check, message, devs=(), recomputed=()):
         ok=False,
         failed_check=check,
         message=message,
-        max_rel_deviation=max(devs, default=0.0),
+        max_rel_deviation=float(np.max(devs, initial=0.0)),  # NaN anywhere reads NaN
         recomputed_distances=tuple(recomputed),
     )
 
@@ -249,7 +249,7 @@ def verify_certificate(cert: Certificate, T: OperatorSpec, x_original) -> Verifi
                 f"scaled x stays at distance > {cert.theta} from the span of all "
                 f"{len(idx)} selected orbit elements"
             ),
-            max_rel_deviation=max(devs),
+            max_rel_deviation=float(np.max(devs)),
             recomputed_distances=tuple(recomputed),
         )
     except TruncationTooSmall as exc:

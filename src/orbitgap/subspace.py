@@ -15,7 +15,9 @@ Distance routes, one table (_route_table), chosen by p and field:
                            inside the span (either field), otherwise
     p in {1, inf}, complex   a log-barrier method on the modulus cones
                              |r_j| <= t_j (_cone_distance; |r_j| is not linear)
-    any other p              L-BFGS on the smooth p-norm
+    2 < p < inf              Newton's method on sum |r_j|^p, stopped on the
+                             Holder gap of y = |r|^(p-2) r (_newton_smooth)
+    1 < p < 2                L-BFGS on the smooth p-norm (_descent_smooth)
 distance() on the unweighted Euclidean norm skips the table: the residual
 against the orthonormal basis is already exact.
 
@@ -26,8 +28,8 @@ prefix_distances gives the oracle's value at every prefix from one unpivoted
 QR of [A | e_hat] (||R[k:, K]|| from numpy's R-only QR at p = 2, the route
 table on Q[:, :k] of scipy's QR else), and runs the oracle per prefix
 instead when a generator is dependent.  scipy is imported only inside the
-functions that call it, so p = 2 and the complex p in {1, inf} distance()
-load none of it.
+functions that call it, so distance() at p = 2, at complex p in {1, inf}
+and at p > 2 loads none of it.
 distance_convex_descent runs _descent on the raw columns, but at real p in
 {1, inf} it gives the Holder bound <e_hat, y> / ||y||_q of the LP's maximizer.
 """
@@ -169,7 +171,7 @@ def _pnorm_and_grad(rho, p):
 
 
 def _descent_smooth(e_hat, A, p, starts):
-    """L-BFGS on the smooth objective ||e_hat - A a||_p, 1 < p < inf.
+    """L-BFGS on the smooth objective ||e_hat - A a||_p, 1 < p < 2.
 
     Complex columns take real coefficients stacked as [Re a, Im a], and the
     gradient is -[Re(A^H g), Im(A^H g)] with g from _pnorm_and_grad.  The
@@ -209,6 +211,81 @@ def _descent_smooth(e_hat, A, p, starts):
     return _nonnegative(best)
 
 
+def _range_basis(A):
+    """Orthonormal basis of A's columns from one SVD, cut where lstsq's
+    default rcond cuts (raw columns may be dependent or tiny)."""
+    U, sv, _ = np.linalg.svd(A, full_matrices=False)
+    return np.ascontiguousarray(U[:, sv > np.finfo(float).eps * max(A.shape) * sv[:1]])
+
+
+def _newton_smooth(r0, A, p):
+    """min_a ||r0 - A a||_p, 2 < p < inf, by Newton's method with a Holder-gap stop.
+
+    r0, a least-squares residual, is scaled to max-abs 1 and the columns
+    give way to _range_basis(A) = U, as in _cone_distance.  Newton steps
+    minimize F = sum_j |r_j|^p over r = r0 - U a: the gradient is
+    -p U^H y with y = |r|^(p-2) r, and the Hessian has weight
+    p (p-1) |r_j|^(p-2) along u_j = r_j / |r_j| and p |r_j|^(p-2) along
+    i u_j (complex a taken as its real and imaginary parts).  Each step
+    solves with lstsq on the unscaled Hessian: scaled to unit diagonal,
+    directions whose weight underflows (|r_j|^(p-2) ~ 1e-36 at p = 4) get
+    huge steps that no backtracking repairs.  Armijo backtracking (1e-4,
+    40 halvings) accepts a step only if F falls.
+
+    Every iterate is feasible, and y made orthogonal to the span bounds
+    the distance below by Re<r0, y> / ||y||_q (Holder), equal at the
+    optimum.  Before each step the gap between the smallest value seen
+    and the largest bound is checked: the solve ends once it is at most
+    1e-15 * value, when no step lowers F, or after 60 steps, and a gap
+    above 1e-9 * value raises SolverFailure.
+    """
+    scale = float(np.abs(r0).max())
+    r0 = r0 / scale
+    U = _range_basis(A)
+    Uc, complex_field = U.conj(), np.iscomplexobj(U)
+    spec, dual = NormSpec(p), NormSpec(p / (p - 1.0))
+    r = r0
+    rho = np.abs(r)
+    f = float((rho**p).sum())
+    value, bound = math.inf, 0.0
+    for steps in range(61):
+        wr = rho ** (p - 2.0)
+        y = wr * r
+        Uy = Uc.T @ y
+        y_off = y - U @ Uy
+        value = min(value, norm(r, spec))
+        yq = norm(y_off, dual)
+        if yq > 0.0:
+            bound = max(bound, float(np.vdot(y_off, r0).real) / yq)
+        if value - bound <= 1e-15 * value or steps == 60:
+            break
+        if complex_field:
+            B = Uc * np.exp(1j * np.angle(r))[:, None]
+            K = np.vstack([B.view(np.float64), (1j * B).view(np.float64)])
+            w = p * np.concatenate([(p - 1.0) * wr, wr])
+            g = -p * Uy.view(np.float64)
+        else:
+            K, w, g = U, p * (p - 1.0) * wr, -p * Uy
+        H = K.T @ (K * w[:, None])
+        dz = np.linalg.lstsq(H, -g, rcond=1e-12)[0]
+        du = U @ (dz.view(np.complex128) if complex_field else dz)
+        slope, t = float(g @ dz), 1.0
+        for _ in range(40):
+            r_new = r - t * du
+            rho_new = np.abs(r_new)
+            f_new = float((rho_new**p).sum())
+            if f_new < f and f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break  # no step lowers F
+        r, rho, f = r_new, rho_new, f_new
+    if not value - bound <= 1e-9 * value:
+        raise SolverFailure(f"Newton descent (p={p}) stopped after {steps} steps "
+                            f"with Holder gap {(value - bound) * scale:.3g}")
+    return value * scale
+
+
 def _cone_distance(r0, A, p):
     """min_a ||r0 - A a||_p over complex a, p in {1, inf}, by a log-barrier method.
 
@@ -226,9 +303,8 @@ def _cone_distance(r0, A, p):
     with tau.  r0, a least-squares residual, is scaled to max-abs 1, so it
     is at least 1 / sqrt(n) from the span and nearby points keep their digits.
 
-    Newton steps do not depend on coordinates: the columns give way to an
-    orthonormal basis of their span, cut where lstsq's default rcond cut
-    when r0 was computed (raw columns may be dependent or tiny).  The
+    Newton steps do not depend on coordinates: the columns give way to
+    _range_basis(A), an orthonormal basis of their span.  The
     Hessian K^T diag(w) K has every w > 0, K holding each cone's directions
     along u_j = r_j / |r_j| and along i u_j in z; written as I / t_j minus a
     rank-one term, the small curvature along u_j is lost to rounding.  At
@@ -246,8 +322,7 @@ def _cone_distance(r0, A, p):
     n = A.shape[0]
     scale = float(np.abs(r0).max())
     r0 = r0 / scale
-    U, sv, _ = np.linalg.svd(A, full_matrices=False)
-    A = np.ascontiguousarray(U[:, sv > np.finfo(float).eps * max(A.shape) * sv[:1]])
+    A = _range_basis(A)
     Ac, k = A.conj(), A.shape[1]
     inf = p == math.inf
     K = np.zeros(((2 + inf) * n, 2 * k + inf))
@@ -304,15 +379,19 @@ def _descent(e_hat, A, p) -> float:
     columns (real ones take the LP), from the least-squares residual r0.  An
     r0 within 1e-13 * max|e_hat| of zero puts e_hat in the span, whatever p:
     its p-norm is returned, since there the p-norm's gradient stays O(1)
-    and no descent would settle.  Otherwise smooth p runs L-BFGS from the
+    and no descent would settle.  Otherwise p in {1, inf} runs
+    _cone_distance on r0, p > 2 runs _newton_smooth on r0 (Newton steps,
+    stopped on the Holder gap), and 1 < p < 2 runs L-BFGS from the
     least-squares and zero starts, complex coefficients stacked as
-    (Re, Im), and p in {1, inf} runs _cone_distance on r0."""
+    (Re, Im)."""
     coef, *_ = np.linalg.lstsq(A, e_hat, rcond=None)
     r0 = e_hat - A @ coef
     if float(np.abs(r0).max()) <= 1e-13 * float(np.abs(e_hat).max()):
         return norm(r0, NormSpec(p))
     if p in (1.0, math.inf):
         return _cone_distance(r0, A, p)
+    if p > 2.0:
+        return _newton_smooth(r0, A, p)
     if np.iscomplexobj(coef):
         coef = np.concatenate([coef.real, coef.imag])
     return _descent_smooth(e_hat, A, p, [coef, np.zeros_like(coef)])

@@ -333,12 +333,15 @@ def test_verify_refuses_an_infinite_scaled_vector(x, lam):
 
 
 def test_verify_refuses_nan_recomputed_distances(monkeypatch):
-    # max() drops a NaN that is not first, and NaN > 1e-8 is False
+    # max() drops a NaN that is not first, and NaN > 1e-8 is False: the
+    # check and the reported deviation must both see the NaN
     T, x, cert = _readme_certificate()
-    monkeypatch.setattr(extractor, "prefix_distances", lambda *args: [1.5] + [math.nan] * 5)
+    d1 = cert.distances[0]
+    monkeypatch.setattr(extractor, "prefix_distances", lambda *args: [d1] + [math.nan] * 5)
     report = verify_certificate(cert, T, x)
     assert report.failed_check == "distance-deviation", report.message
     assert report.message.startswith("distance 2 deviates")
+    assert math.isnan(report.max_rel_deviation)
 
 
 def test_verify_refuses_a_plateau_rise():

@@ -6,8 +6,9 @@ orbitgap, runs the L2 pipeline (build, density, extract, verify), an L2
 distance on both routes, a certificate's encode -> decode round trip and an
 L2 `orbitgap extract` must never import a scipy module: scipy.linalg alone
 is most of a short process's start-up time and a third of its memory.  The
-complex L1 and Linf barrier is numpy alone too, so `distance` there loads
-no scipy module either.
+complex L1 and Linf barrier is numpy alone too, and so is the Newton
+descent at p > 2, so `distance` at complex p in {1, inf} and at p = 3 on
+either field loads no scipy module either.
 """
 
 import os
@@ -56,6 +57,19 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
+SMOOTH_NEWTON_DISTANCE = """
+import sys
+import numpy as np
+import orbitgap as og
+rng = np.random.default_rng(5)
+for draw in (lambda: rng.standard_normal(16),
+             lambda: rng.standard_normal(16) + 1j * rng.standard_normal(16)):
+    gens = [draw() for _ in range(4)]
+    assert og.distance(draw(), og.SpanBasis.from_vectors(gens), og.NormSpec(3.0)) > 0.0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
 def scipy_modules_after(snippet):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -71,3 +85,7 @@ def test_l2_run_leaves_scipy_unloaded():
 
 def test_complex_cone_distance_leaves_scipy_unloaded():
     assert scipy_modules_after(COMPLEX_CONE_DISTANCE) == "[]"
+
+
+def test_smooth_newton_distance_leaves_scipy_unloaded():
+    assert scipy_modules_after(SMOOTH_NEWTON_DISTANCE) == "[]"

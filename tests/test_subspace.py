@@ -134,6 +134,7 @@ def test_inside_span_points_skip_the_descent(monkeypatch, field):
         raise AssertionError("a descent ran on a point inside the span")
 
     monkeypatch.setattr("scipy.optimize.minimize", refuse)
+    monkeypatch.setattr(subspace, "_newton_smooth", refuse)
     rng = np.random.default_rng(12)
     for spec in (L1, NormSpec(1.5), NormSpec(3.0), LINF):
         for _ in range(6):
@@ -361,6 +362,7 @@ def test_lp_witness_runs_no_descent(monkeypatch):
         raise AssertionError("a descent ran at real p in {1, inf}")
 
     monkeypatch.setattr("scipy.optimize.minimize", refuse)
+    monkeypatch.setattr(subspace, "_newton_smooth", refuse)
     for spec in (L1, LINF):
         for seed in range(5):
             e, gens = _lp_witness_case(seed, 24, 6)
@@ -513,6 +515,41 @@ def test_complex_cone_distance_fails_closed(monkeypatch, spec, newton):
     e = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     with pytest.raises(SolverFailure, match=f"p={spec.p}"):
         distance(e, Y, spec)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_smooth_newton_scales_with_the_point(p, field):
+    # d(c e) = c d(e) at p > 2: r0 is scaled to max-abs 1 and the Holder
+    # gap stop is relative, so neither tiny nor huge points read high
+    rng = np.random.default_rng(8)
+    gens, _ = rand_span(rng, 12, 3, field)
+    e = rng.standard_normal(12)
+    if field == "complex":
+        e = e + 1j * rng.standard_normal(12)
+    spec = NormSpec(p)
+    unit = three_routes(e, gens, spec)
+    for c in (1e-20, 1e20):
+        assert np.array(three_routes(c * e, gens, spec)) / c == pytest.approx(unit, rel=1e-14)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_smooth_newton_fails_closed(monkeypatch, field):
+    # a Newton system with no finite step leaves the least-squares start,
+    # whose Holder gap is far above 1e-9: SolverFailure naming p, not a value
+    lstsq = np.linalg.lstsq
+
+    def broken(a, b, rcond=None):
+        if a.shape[0] != a.shape[1]:  # the least-squares start, not a Newton system
+            return lstsq(a, b, rcond=rcond)
+        return (np.full(a.shape[1], np.nan),)
+
+    monkeypatch.setattr(np.linalg, "lstsq", broken)
+    rng = np.random.default_rng(12)
+    gens, Y = rand_span(rng, 8, 2, field)
+    e = rng.standard_normal(8) + (1j * rng.standard_normal(8) if field == "complex" else 0.0)
+    with pytest.raises(SolverFailure, match=r"p=3\.0\) stopped after 0 steps with Holder gap"):
+        distance(e, Y, NormSpec(3.0))
 
 
 SEED_70362_DRAW = """
