@@ -25,8 +25,11 @@ distance_batch_oracle runs the same table with no incremental state and
 serves as ground truth in verification and tests: at p = 2 on the raw
 generators, at any other p on a column-pivoted Householder QR basis of them.
 prefix_distances gives the oracle's value at every prefix from one unpivoted
-QR of [A | e_hat] (||R[k:, K]|| from numpy's R-only QR at p = 2, the route
-table on Q[:, :k] of scipy's QR else), and runs the oracle per prefix
+QR of [A | e_hat]: ||R[k:, K]|| from numpy's R-only QR at p = 2; at real
+p in {1, inf} the dual LPs of every Q[:, :k] of scipy's QR, stacked as
+block-diagonal models of at most _LP_NONZEROS nonzeros (_prefix_lp_distances),
+so a verify pays scipy's per-call LP wrapper once per model, not once per
+prefix; the route table on Q[:, :k] else.  It runs the oracle per prefix
 instead when a generator is dependent.  scipy is imported only inside the
 functions that call it, so distance() at p = 2, at complex p in {1, inf}
 and at p > 2 loads none of it.
@@ -44,6 +47,7 @@ from .simplex import solve_standard_lp
 from .space import NormSpec, L2, norm
 
 DEPENDENCY_TOL = 1e-10
+_LP_NONZEROS = 2**15  # cap on one block-diagonal prefix LP (_prefix_lp_distances)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,6 +136,42 @@ def _lstsq_distance(e_hat, A):
     return float(np.linalg.norm(e_hat - A @ coef))
 
 
+def _dual_model(e, blocks, p):
+    """The dual LP of _lp_distance for the point e (scaled to max-abs 1)
+    against each column block, as one block-diagonal model for
+    solve_standard_lp: returns (c, A_eq, b_eq, upper), A_eq a scipy CSC
+    array.  Block i has the variables (y_plus, y_minus), plus the slack s at
+    p = inf, and the rows A_i^T y_plus - A_i^T y_minus = 0, plus the row
+    sum(y_plus + y_minus) + s = 1 at p = inf.  The CSC is assembled as
+    scipy's csc_array(dense) would read the dense model (exact zeros
+    dropped, rows in order), so one block hands HiGHS the same bytes.
+    """
+    from scipy.sparse import csc_array  # loaded only when an LP runs
+
+    n, inf = e.shape[0], int(p == math.inf)
+    data, rows, counts, b = [], [], [], []
+    row = 0
+    for A in blocks:
+        k = A.shape[1]
+        # row j of vals is the block's variable j (y_plus, y_minus, then
+        # the slack s) over the block's rows (k, then the sum row)
+        vals = np.zeros((2 * n + inf, k + inf))
+        vals[:n, :k], vals[n : 2 * n, :k] = A, -A
+        vals[:, k:] = 1.0  # the sum row; no column at p = 1
+        nonzero = vals != 0.0
+        data.append(vals[nonzero])
+        block_rows = np.arange(row, row + k + inf, dtype=np.int32)
+        rows.append(np.broadcast_to(block_rows, vals.shape)[nonzero])
+        counts.append(np.count_nonzero(nonzero, axis=1))
+        b.append(np.concatenate([np.zeros(k), np.ones(inf)]))
+        row += k + inf
+    counts = np.concatenate(counts)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    A_eq = csc_array((np.concatenate(data), np.concatenate(rows), indptr), shape=(row, counts.size))
+    c = np.tile(np.concatenate([-e, e, np.zeros(inf)]), len(blocks))
+    return c, A_eq, np.concatenate(b), None if inf else 1.0
+
+
 def _lp_distance(e_hat, A, p):
     """Exact min_a ||e_hat - A a||_p, p in {1, inf}, via the dual LP.
 
@@ -139,22 +179,48 @@ def _lp_distance(e_hat, A, p):
     A^T y = 0, ||y||_q <= 1 with 1/p + 1/q = 1 (Luenberger, Optimization by
     Vector Space Methods, 1969, 5.8).  With y = y_plus - y_minus >= 0 that
     is k equality rows; q = inf (p = 1) bounds y_plus, y_minus by 1, and
-    q = 1 (p = inf) adds the row sum(y_plus + y_minus) + s = 1.  e_hat is
-    scaled to max-abs 1 first, as HiGHS's tolerances are absolute.  Returns (value, y).
+    q = 1 (p = inf) adds the row sum(y_plus + y_minus) + s = 1 (_dual_model).
+    e_hat is scaled to max-abs 1 first, as HiGHS's tolerances are absolute.
+    Returns (value, y).
     """
-    n, k = A.shape
+    n = A.shape[0]
     scale = float(np.abs(e_hat).max())
     if scale == 0.0:
         return 0.0, np.zeros(n)
-    c = np.concatenate([-e_hat, e_hat]) / scale
-    A_eq = np.hstack([A.T, -A.T])
-    b_eq = np.zeros(k)
-    if p == 1.0:
-        z, value = solve_standard_lp(c, A_eq, b_eq, upper=1.0)
-    else:
-        A_eq = np.block([[A_eq, np.zeros((k, 1))], [np.ones((1, 2 * n + 1))]])
-        z, value = solve_standard_lp(np.append(c, 0.0), A_eq, np.append(b_eq, 1.0))
+    c, A_eq, b_eq, upper = _dual_model(e_hat / scale, [A], p)
+    z, value = solve_standard_lp(c, A_eq, b_eq, upper=upper)
     return _nonnegative(-value * scale), z[:n] - z[n : 2 * n]
+
+
+def _prefix_lp_distances(e_hat, Q, p):
+    """_lp_distance(e_hat, Q[:, :k], p)'s value for k = 1..K, from few LPs.
+
+    Consecutive prefixes share one block-diagonal model (_dual_model) while
+    it holds at most _LP_NONZEROS nonzeros: each milp call costs far more
+    in scipy's wrapper than in HiGHS, but HiGHS's pricing grows with the
+    whole model, so one model for every prefix loses at large K.  HiGHS
+    reports one objective for the model, so block k's value is read as
+    -fsum(c_k * z_k), scaled back.
+    """
+    n, K = Q.shape
+    scale = float(np.abs(e_hat).max())
+    if scale == 0.0:
+        return [0.0] * K
+    inf = p == math.inf
+    groups, size = [[]], 0
+    for k in range(1, K + 1):
+        nnz = 2 * n * k + inf * (2 * n + 1)
+        if groups[-1] and size + nnz > _LP_NONZEROS:
+            groups, size = groups + [[]], 0
+        groups[-1].append(k)
+        size += nnz
+    values = []
+    for group in groups:
+        c, A_eq, b_eq, upper = _dual_model(e_hat / scale, [Q[:, :k] for k in group], p)
+        z, _ = solve_standard_lp(c, A_eq, b_eq, upper=upper)
+        cz = (c * z).reshape(len(group), -1)
+        values += [_nonnegative(-math.fsum(row) * scale) for row in cz]
+    return values
 
 
 def _pnorm_and_grad(rho, p):
@@ -459,8 +525,11 @@ def prefix_distances(e: np.ndarray, generators, spec: NormSpec = L2) -> list:
 
     One unpivoted Householder QR of [A | e_hat] serves every prefix: at
     p = 2 the k-th distance is ||R[k:, K]|| (Golub & Van Loan, 4th ed., 5.3),
-    read from numpy's mode="r" QR with no Q formed, and at any other p the
-    route table runs on Q[:, :k] of scipy's QR.  A dropped zero column,
+    read from numpy's mode="r" QR with no Q formed.  At real p in {1, inf}
+    _prefix_lp_distances solves _lp_distance's model for every Q[:, :k] of
+    scipy's QR, consecutive prefixes sharing one block-diagonal LP; its
+    values agree with one LP per prefix to HiGHS's tolerances, not to the
+    bit.  At any other p the route table runs on Q[:, :k].  A dropped zero column,
     K >= N or |R_ii| <= DEPENDENCY_TOL (the columns are unit, so this is
     extend's test) falls back to the oracle per prefix: a Householder step
     on a dependent column would add to Q a direction that is not in the span.
@@ -479,6 +548,8 @@ def prefix_distances(e: np.ndarray, generators, spec: NormSpec = L2) -> list:
             if np.abs(np.diag(R)[:K]).min() > DEPENDENCY_TOL:
                 if spec.p == 2.0:
                     return np.hypot.accumulate(np.abs(R[:0:-1, K]))[::-1].tolist()
+                if spec.p in (1.0, math.inf) and not np.iscomplexobj(Q):
+                    return _prefix_lp_distances(e_hat, Q[:, :K], spec.p)
                 return [_route_table(e_hat, Q[:, :k], spec.p) for k in range(1, K + 1)]
     return [distance_batch_oracle(e, generators[:k], spec) for k in range(1, K + 1)]
 

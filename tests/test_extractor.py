@@ -344,6 +344,27 @@ def test_verify_refuses_nan_recomputed_distances(monkeypatch):
     assert math.isnan(report.max_rel_deviation)
 
 
+def test_verify_reports_a_failed_prefix_lp(monkeypatch):
+    # the L1 prefix LPs go to HiGHS as one block-diagonal model; an
+    # infeasible copy of it must come back as a report naming the status
+    # and the model's shape, not as an exception
+    T = RolewiczMultiple(2.0)
+    x = build_supercyclic_vector(2.0, default_target_set(128, count=8), 128, L1).x
+    cert = extract_subsequence(T, x, ExtractionConfig(horizon=96, max_steps=16, theta=1.01,
+                                                      norm_spec=L1))
+    solve, shapes = subspace.solve_standard_lp, []
+
+    def infeasible(c, A, b, *, upper=None):
+        shapes.append(A.shape)
+        return solve(c, A, b + 1.0, upper=0.0)
+
+    monkeypatch.setattr(subspace, "solve_standard_lp", infeasible)
+    report = verify_certificate(cert, T, x)
+    assert not report.ok and report.failed_check == "internal"
+    (m, n), = shapes
+    assert report.message.startswith(f"SolverFailure: HiGHS status 2 on A of shape {m}x{n}: ")
+
+
 def test_verify_refuses_a_plateau_rise():
     # d_4 sits 5e-9 above d_3: within the deviation bound, above 1e-12
     T, x, cert = _readme_certificate()

@@ -8,7 +8,8 @@ on these seeds the certified distances vary (3-12 distinct values per
 certificate), and swapping p = 1.5's unpivoted QR for numpy's reduced QR
 changes two of the verification digests.  Seeds whose distances all stay
 at the rescaled 1.5 (900-903 at N=128, K=8, for one) would not see it.
-p = 1 pins the dual LP's route (6 distinct distances at seeds 904 and 908).
+p = 1 pins the dual LP's route (6 distinct distances at seeds 904 and 908);
+the p in {1, inf} verification digests pin the block-diagonal prefix LPs.
 
 The digests depend on the LAPACK build, so the test runs only when numpy's
 BLAS is the scipy-openblas wheel build they were taken with.
@@ -36,7 +37,7 @@ DIGESTS = {
     (902, 3.0, "certificate"): "f17ddb3e4b9e3d22f8b55cd19e86e267c7eecab0a5b691f8ba81f3231e866ec7",
     (902, 3.0, "verification"): "63533faa33395f41b65ff59758cd91b7028541f46a95888a6f521be1ff684c42",
     (902, math.inf, "certificate"): "5c40eb52535a1afc4295be9028bf6dc85377f36401df5da9cd209157b5e3cc96",
-    (902, math.inf, "verification"): "e3247f8d5972f0d56b4a6b0db2d144489e3953035681e04b815383b03f546db7",
+    (902, math.inf, "verification"): "b951457627507b0c37453af5b5d15e3ea72d3d62a801a3d44f06a270fe92cc9e",
     (904, 2.0, "certificate"): "b9a9c202644f77acf14268baba6c667add3df2d0806d52c2ab5076b2737832d2",
     (904, 2.0, "verification"): "3433d0ea41e18fe0a313583707f21fce0507b7b7fba257876acf4c36b0540557",
     (904, 1.5, "certificate"): "10fda2c90a92947dd3e745697fa0fd0315317cc18cea7170019d2fb9e46ad09f",
@@ -44,7 +45,7 @@ DIGESTS = {
     (904, 3.0, "certificate"): "543f56b8113ccf95d7b7987ad6247111cf1f683abec608c4aa225c8f48edea3a",
     (904, 3.0, "verification"): "b77d85418669876ae36116ed33847761234a9dd752ac1f936155f05044dc80be",
     (904, math.inf, "certificate"): "c4283a66122df9babecc6bd65c8ce65ac635284623c6d8f3fc841444dc12b446",
-    (904, math.inf, "verification"): "d19d6d3c94b3490e144dfe3e7d8fda28f00e79acb738742839caa7886d69057f",
+    (904, math.inf, "verification"): "13d2d7b41ab98dbb2986c59aca8a77b47f3cd2bd6debb308cb413ee3d43c8332",
     (908, 2.0, "certificate"): "1221d9f1be9d943e45c742212811d1b2d92742a2afb02563408c306827ef6134",
     (908, 2.0, "verification"): "aae40f36ceb9c3cd4e4eba6869770a49f8836d580b3ad6526f3ffc11fdc10e62",
     (908, 1.5, "certificate"): "1539584e2e958719b116bdef99e999ebbca6fd6adf135ef5daf5aad3e2be9f4f",
@@ -52,13 +53,13 @@ DIGESTS = {
     (908, 3.0, "certificate"): "29b352915542183d3617b2d18f1c01ed41c79e45d6a45a6f2d19ae0182416c4e",
     (908, 3.0, "verification"): "b77d85418669876ae36116ed33847761234a9dd752ac1f936155f05044dc80be",
     (908, math.inf, "certificate"): "9eb6d298400ad18451f6bc569930a93762f8f3c13fdf21a1db03be195e81e405",
-    (908, math.inf, "verification"): "4322e4fa3822e60363a307c43732f1386fe4451a0d2ccac08fd05b5f8c6a743e",
+    (908, math.inf, "verification"): "b94cb4376511822d597eb99e7174e221318f298c5f390f969d189b298e227d53",
     (902, 1.0, "certificate"): "ec58fd5f789aee703c40e5909f26576d9bd18ea6e13f79ff3ccf381d3a1a50d9",
     (902, 1.0, "verification"): "1136e20c50565d4d330101ab3d397dec0a655a12ffb3a9dcd4bccf25e24ad06c",
     (904, 1.0, "certificate"): "cd633c3371119394acc11a54cc315c6faf7721dc40becf8480a8e6e27b66a8b4",
-    (904, 1.0, "verification"): "3c1ad9976528b6d1608b22f4e9723854101582d1dad10338a1a43ebc1b7676f7",
+    (904, 1.0, "verification"): "6e499cf30cb0d4c16e44f05cf65b2d73268dd51410280314067f43858083bc27",
     (908, 1.0, "certificate"): "9078fc952cb1a7ddbc2f390c5800ff95ef31fbc3d316320aa57f03ce06d37c3a",
-    (908, 1.0, "verification"): "4e701d73fb34e09219d99f41e49123fca07e37cc8bc8551af05fec722b3022c7",
+    (908, 1.0, "verification"): "813c324989ff630952f0dbf0c9871f4032c0e31317a14762ab861b71c8ef519f",
 }
 
 

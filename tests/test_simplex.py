@@ -122,3 +122,30 @@ def test_dual_distance_lps_match_linprog_bit_for_bit():
                       options={"presolve": False})
         assert ref.status == 0
         assert np.array_equal(z, ref.x) and value == ref.fun, A.shape
+
+
+def test_sparse_constraints_keep_the_model():
+    # milp reads a dense A through csc_array, so a CSC A is the same model
+    from scipy.sparse import csc_array
+
+    for c, A, b, upper in _dual_distance_lps(np.random.default_rng(27), 20):
+        z, value = solve_standard_lp(c, A, b, upper=upper)
+        z_csc, value_csc = solve_standard_lp(c, csc_array(A), b, upper=upper)
+        assert np.array_equal(z, z_csc) and value == value_csc, A.shape
+
+
+def test_block_diagonal_lps_match_linprog_bit_for_bit():
+    # three dual distance LPs of one kind stacked as one block-diagonal model
+    from scipy.sparse import block_diag
+
+    lps = list(_dual_distance_lps(np.random.default_rng(28), 12))
+    for kind in (lps[0::2], lps[1::2]):  # p = 1 models, then p = inf models
+        for i in range(0, len(kind), 3):
+            c, As, b, uppers = zip(*kind[i : i + 3])
+            c, b, upper = np.concatenate(c), np.concatenate(b), uppers[0]
+            A = block_diag(As, format="csc")
+            z, value = solve_standard_lp(c, A, b, upper=upper)
+            ref = linprog(c, A_eq=A.toarray(), b_eq=b, bounds=(0.0, upper), method="highs",
+                          options={"presolve": False})
+            assert ref.status == 0
+            assert np.array_equal(z, ref.x) and value == ref.fun, A.shape

@@ -29,6 +29,7 @@ from orbitgap import (
     extract_subsequence,
     norm,
     orbit_stream,
+    verify_certificate,
 )
 from orbitgap import subspace
 from orbitgap.subspace import DEPENDENCY_TOL, _pnorm_and_grad, prefix_distances
@@ -261,6 +262,110 @@ def test_prefix_distances_with_as_many_generators_as_entries():
         assert got[-1] == pytest.approx(0.0, abs=1e-12)
 
 
+def _lp_calls(monkeypatch):
+    """The constraint matrices of the solve_standard_lp calls made while a test runs."""
+    calls = []
+    solve = subspace.solve_standard_lp
+
+    def counted(c, A, b, *, upper=None):
+        calls.append(A)
+        return solve(c, A, b, upper=upper)
+
+    monkeypatch.setattr(subspace, "solve_standard_lp", counted)
+    return calls
+
+
+def _prefix_qr(e, gens, spec):
+    """(e_hat, Q[:, :K]) as prefix_distances factors them."""
+    from scipy.linalg import qr
+
+    e_hat, A = subspace._scaled_columns(e, gens, spec)
+    return e_hat, qr(np.column_stack([A, e_hat]), mode="economic")[0][:, : len(gens)]
+
+
+def test_one_block_dual_model_is_the_dense_model():
+    # distance's LP must keep its bytes: one block, assembled as CSC, holds
+    # exactly the entries scipy reads off the dense model (zeros dropped)
+    from scipy.sparse import csc_array
+
+    rng = np.random.default_rng(46)
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        k = int(rng.integers(1, n))
+        A = rng.standard_normal((n, k)) * (rng.random((n, k)) < 0.6)
+        e = rng.standard_normal(n)
+        for p in (1.0, math.inf):
+            c, A_eq, b, upper = subspace._dual_model(e, [A], p)
+            dense = np.hstack([A.T, -A.T])
+            if p == math.inf:
+                dense = np.block([[dense, np.zeros((k, 1))], [np.ones((1, 2 * n + 1))]])
+            ref = csc_array(dense)
+            assert all(np.array_equal(getattr(A_eq, f), getattr(ref, f))
+                       for f in ("indptr", "indices", "data"))
+            assert A_eq.indices.dtype == ref.indices.dtype and A_eq.shape == ref.shape
+            assert np.array_equal(c, np.concatenate([-e, e, [0.0] * (p == math.inf)]))
+            assert np.array_equal(b, [0.0] * k + [1.0] * (p == math.inf))
+            assert upper == (1.0 if p == 1.0 else None)
+
+
+@pytest.mark.parametrize("spec", [L1, LINF], ids=["l1", "linf"])
+def test_verify_solves_every_prefix_lp_in_one_call(monkeypatch, spec):
+    # verify cuts the builder's vector to its invariant prefix (79 entries
+    # at L1, 74 at L-inf), where all 16 prefixes fit one block-diagonal
+    # model of at most 2^15 nonzeros
+    T = RolewiczMultiple(2.0)
+    x = build_supercyclic_vector(2.0, default_target_set(128, count=8), 128, spec).x
+    cfg = ExtractionConfig(horizon=96, max_steps=16, theta=1.01, norm_spec=spec)
+    cert = extract_subsequence(T, x, cfg)
+    assert len(cert.indices) == 16
+    calls = _lp_calls(monkeypatch)
+    report = verify_certificate(cert, T, x)
+    assert report.ok and report.max_rel_deviation <= 1e-12, report.message
+    assert len(calls) == 1 and calls[0].nnz <= 2**15
+    assert calls[0].shape[0] == 16 * 17 // 2 + 16 * (spec.p == math.inf)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf], ids=["l1", "linf"])
+def test_prefix_lps_are_grouped_by_nonzeros(monkeypatch, p):
+    # 2 n k nonzeros per prefix (plus a 2n + 1 sum row at p = inf) at
+    # n = 128, K = 24 is 2.3 times the cap: prefixes fill one model in
+    # order while its total stays within 2^15
+    rng = np.random.default_rng(45)
+    n, K = 128, 24
+    gens, e = list(rng.standard_normal((K, n))), rng.standard_normal(n)
+    groups, size = [[]], 0
+    for k in range(1, K + 1):
+        nnz = 2 * n * k + (2 * n + 1) * (p == math.inf)
+        if groups[-1] and size + nnz > 2**15:
+            groups, size = groups + [[]], 0
+        groups[-1].append(k)
+        size += nnz
+    assert len(groups) >= 3
+    calls = _lp_calls(monkeypatch)
+    got = prefix_distances(e, gens, NormSpec(p))
+    assert [A.shape[0] for A in calls] == [sum(g) + len(g) * (p == math.inf) for g in groups]
+    assert all(A.nnz <= 2**15 for A in calls)
+    calls.clear()
+    e_hat, Q = _prefix_qr(e, gens, NormSpec(p))
+    expected = [subspace._lp_distance(e_hat, Q[:, :k], p)[0] for k in range(1, K + 1)]
+    assert len(calls) == K
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_block_prefix_lps_match_one_lp_per_prefix():
+    # each block's value, read as -fsum(c_k z_k), against the prefix's own LP
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(8, 129))
+        K = int(rng.integers(2, min(16, n - 1) + 1))
+        gens, e = list(rng.standard_normal((K, n))), rng.standard_normal(n)
+        for p in (1.0, math.inf):
+            e_hat, Q = _prefix_qr(e, gens, NormSpec(p))
+            expected = [subspace._lp_distance(e_hat, Q[:, :k], p)[0] for k in range(1, K + 1)]
+            got = prefix_distances(e, gens, NormSpec(p))
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0), (n, K, p)
+
+
 def test_points_inside_the_span_read_positive_zero():
     # max(-0.0, 0.0) is -0.0, so a clamped zero could reach a record as -0.0
     e = np.array([1.0, 2.0, 3.0])
@@ -272,6 +377,9 @@ def test_points_inside_the_span_read_positive_zero():
             distance_batch_oracle(e, gens[:1], spec),
             distance_convex_descent(e, gens, spec),
             *prefix_distances(np.append(e, 0.0), list(np.eye(4)), spec)[2:],
+            # K < N: at p in {1, inf} this prefix is a block of one LP model
+            prefix_distances(np.append(e, [0.0, 0.0]), list(np.eye(5)[:3]), spec)[2],
+            *prefix_distances(np.zeros(5), list(np.eye(5)[:3]), spec),
         ]
         assert max(values) <= 1e-14, spec
         assert [math.copysign(1.0, d) for d in values] == [1.0] * len(values), (spec, values)

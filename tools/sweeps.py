@@ -9,14 +9,14 @@ the named sweep and prints one JSON document: per case, the certified
 indices and distances, the verifier's recomputed distances and report
 fields, or the exception the case raised.  It records no timing, so two
 runs on one commit print the same bytes.  compare prints, over the cases
-the two files share, how many keep their indices, the largest relative
-move of a certified or recomputed distance, how many values went up and
-how many down, and the failed cases on each side, per group of cases
-(the first word of a case's name: builder groups by p).
+the two files share, how many keep their indices and, for the certified
+and the recomputed distances apart, how many values went up and how many
+down and the largest relative moves, then the failed cases on each side,
+per group of cases (the first word of a case's name: builder groups by p).
 
 Sweeps:
   builder  builder vectors for seeds 900-911 at N=256, K=16, horizon 96,
-           theta=1.01, p in {1.5, 3}, extracted and verified
+           theta=1.01, p in {1, 1.5, 3, inf}, extracted and verified
 
 This is a tool for comparing commits, not a test: nothing here runs in the
 test suite or the benchmark.
@@ -24,6 +24,7 @@ test suite or the benchmark.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -32,7 +33,7 @@ def builder_cases(og):
     """Builder vectors as tests/test_record_digests.py draws them, seeds 900-911."""
     import numpy as np
 
-    for p in (1.5, 3.0):
+    for p in (1.0, 1.5, 3.0, math.inf):
         spec = og.NormSpec(p)
         for seed in range(900, 912):
             rng = np.random.default_rng(seed)
@@ -87,25 +88,26 @@ def compare(a, b):
     lines += [f"only in B: {name}" for name in cb if name not in ca]
     for group in sorted({name.split()[0] for name in shared}):
         names = [name for name in shared if name.split()[0] == group]
-        same, moves = 0, []  # (relative move, where) of every value compared
+        same, moves = 0, {"distances": [], "recomputed": []}  # (relative move, where) per field
         for name in names:
             x, y = ca[name], cb[name]
             if "error" in x or "error" in y or x["indices"] != y["indices"]:
                 continue
             same += 1
-            for field in ("distances", "recomputed"):
+            for field, found in moves.items():
                 for k, (u, v) in enumerate(zip(x[field], y[field])):
                     rel = (v - u) / abs(u) if u else v - u
-                    moves.append((rel, f"{name} {field}[{k}] {u!r} -> {v!r}"))
-        up = sum(rel > 0.0 for rel, _ in moves)
-        down = sum(rel < 0.0 for rel, _ in moves)
-        rise = max(moves, key=lambda m: m[0], default=(0.0, None))  # the first of equal moves
-        fall = min(moves, key=lambda m: m[0], default=(0.0, None))
+                    found.append((rel, f"{name} {field}[{k}] {u!r} -> {v!r}"))
         lines.append(f"[{group}] indices agree: {same} of {len(names)}")
-        lines.append(f"[{group}] values compared: {len(moves)}; went up: {up}; went down: {down}")
-        for label, (rel, where) in (("rise", rise), ("fall", (-fall[0], fall[1]))):
-            lines.append(f"[{group}] largest relative {label}: {max(rel, 0.0) + 0.0:.3e}"
-                         + (f" ({where})" if rel > 0.0 else ""))
+        for field, found in moves.items():
+            up = sum(rel > 0.0 for rel, _ in found)
+            down = sum(rel < 0.0 for rel, _ in found)
+            rise = max(found, key=lambda m: m[0], default=(0.0, None))  # the first of equal moves
+            fall = min(found, key=lambda m: m[0], default=(0.0, None))
+            lines.append(f"[{group}] {field} compared: {len(found)}; went up: {up}; went down: {down}")
+            for label, (rel, where) in (("rise", rise), ("fall", (-fall[0], fall[1]))):
+                lines.append(f"[{group}] {field} largest relative {label}: {max(rel, 0.0) + 0.0:.3e}"
+                             + (f" ({where})" if rel > 0.0 else ""))
         for side, cases in (("A", ca), ("B", cb)):
             failures = [(name, why) for name in names if (why := _failed(cases[name]))]
             lines.append(f"[{group}] failures in {side}: {len(failures)}")
