@@ -201,11 +201,12 @@ def density_check(
     """Best scalar orbit approximation of each target over n in [0, horizon].
 
     For each target the report records the first n attaining the minimum of
-    min over c of norm(c T^n x - t, spec), scoring all targets per power in
-    one best_scalar call (it names its solver per p and field), on the prefix
-    that holds x and the targets and that T maps into itself
-    (invariant_prefix).  A dying orbit is not an error here: remaining
-    powers are skipped and flagged.
+    min over c of norm(c T^n x - t, spec), the distance from t to the span
+    of T^n x, scoring all targets per power in one best_scalar call (closed
+    form at p = 2, bisection on the real field, the distance solvers on the
+    complex field), on the prefix that holds x and the targets and that T
+    maps into itself (invariant_prefix).  A dying orbit is not an error
+    here: remaining powers are skipped and flagged.
     """
     if not np.any(x):
         raise ConfigError("density check needs a nonzero x")

@@ -19,7 +19,8 @@ Distance routes, one table (_route_table), chosen by p and field:
                              Holder gap of y = |r|^(p-2) r (_newton_smooth)
     1 < p < 2                L-BFGS on the smooth p-norm (_descent_smooth)
 distance() on the unweighted Euclidean norm skips the table: the residual
-against the orthonormal basis is already exact.
+against the orthonormal basis is already exact.  best_scalar fits a complex
+row at p != 2 by _descent, as its distance to the span of one vector.
 
 distance_batch_oracle runs the same table with no incremental state and
 serves as ground truth in verification and tests: at p = 2 on the raw
@@ -31,8 +32,8 @@ block-diagonal models of at most _LP_NONZEROS nonzeros (_prefix_lp_distances),
 so a verify pays scipy's per-call LP wrapper once per model, not once per
 prefix; the route table on Q[:, :k] else.  It runs the oracle per prefix
 instead when a generator is dependent.  scipy is imported only inside the
-functions that call it, so distance() at p = 2, at complex p in {1, inf}
-and at p > 2 loads none of it.
+functions that call it, so neither distance() nor best_scalar loads any of
+it at p = 2, at complex p in {1, inf} or at p > 2.
 distance_convex_descent runs _descent on the raw columns, but at real p in
 {1, inf} it gives the Holder bound <e_hat, y> / ||y||_q of the LP's maximizer.
 """
@@ -237,7 +238,8 @@ def _pnorm_and_grad(rho, p):
 
 
 def _descent_smooth(e_hat, A, p, starts):
-    """L-BFGS on the smooth objective ||e_hat - A a||_p, 1 < p < 2.
+    """L-BFGS on the smooth objective ||e_hat - A a||_p, 1 < p < 2: the
+    smallest value its starts reach, and that start's residual e_hat - A a.
 
     Complex columns take real coefficients stacked as [Re a, Im a], and the
     gradient is -[Re(A^H g), Im(A^H g)] with g from _pnorm_and_grad.  The
@@ -258,7 +260,7 @@ def _descent_smooth(e_hat, A, p, starts):
         h = A.conj().T @ g
         return f, -np.concatenate([h.real, h.imag])
 
-    values = []
+    fits = []
     any_ok = False
     for a0 in starts:
         res = minimize(
@@ -269,12 +271,12 @@ def _descent_smooth(e_hat, A, p, starts):
             options={"maxiter": 1000, "ftol": 1e-16, "gtol": 1e-12},
         )
         any_ok = any_ok or bool(res.success)
-        values.append(float(fun(res.x)[0]))
-    best = min(values)
-    agree = len(values) > 1 and max(values) - best <= 1e-8 * max(1.0, best)
+        fits.append((float(fun(res.x)[0]), res.x))
+    best, a = min(fits, key=lambda fit: fit[0])
+    agree = len(fits) > 1 and max(v for v, _ in fits) - best <= 1e-8 * max(1.0, best)
     if not (any_ok or agree):
         raise SolverFailure(f"descent (p={p}) missed tolerance within budget")
-    return _nonnegative(best)
+    return _nonnegative(best), e_hat - A @ (a[:k] + 1j * a[k:] if complex_field else a)
 
 
 def _range_basis(A):
@@ -284,11 +286,11 @@ def _range_basis(A):
     return np.ascontiguousarray(U[:, sv > np.finfo(float).eps * max(A.shape) * sv[:1]])
 
 
-def _newton_smooth(r0, A, p):
-    """min_a ||r0 - A a||_p, 2 < p < inf, by Newton's method with a Holder-gap stop.
+def _newton_smooth(r0, U, p):
+    """min_a ||r0 - U a||_p, 2 < p < inf, by Newton's method with a Holder-gap stop.
 
-    r0, a least-squares residual, is scaled to max-abs 1 and the columns
-    give way to _range_basis(A) = U, as in _cone_distance.  Newton steps
+    Returns (value, r), r the iterate of smallest p-norm.  U has
+    orthonormal columns and r0 has max-abs 1 (_descent).  Newton steps
     minimize F = sum_j |r_j|^p over r = r0 - U a: the gradient is
     -p U^H y with y = |r|^(p-2) r, and the Hessian has weight
     p (p-1) |r_j|^(p-2) along u_j = r_j / |r_j| and p |r_j|^(p-2) along
@@ -305,9 +307,6 @@ def _newton_smooth(r0, A, p):
     1e-15 * value, when no step lowers F, or after 60 steps, and a gap
     above 1e-9 * value raises SolverFailure.
     """
-    scale = float(np.abs(r0).max())
-    r0 = r0 / scale
-    U = _range_basis(A)
     Uc, complex_field = U.conj(), np.iscomplexobj(U)
     spec, dual = NormSpec(p), NormSpec(p / (p - 1.0))
     r = r0
@@ -319,7 +318,8 @@ def _newton_smooth(r0, A, p):
         y = wr * r
         Uy = Uc.T @ y
         y_off = y - U @ Uy
-        value = min(value, norm(r, spec))
+        if (v := norm(r, spec)) < value:
+            value, best = v, r
         yq = norm(y_off, dual)
         if yq > 0.0:
             bound = max(bound, float(np.vdot(y_off, r0).real) / yq)
@@ -348,14 +348,16 @@ def _newton_smooth(r0, A, p):
         r, rho, f = r_new, rho_new, f_new
     if not value - bound <= 1e-9 * value:
         raise SolverFailure(f"Newton descent (p={p}) stopped after {steps} steps "
-                            f"with Holder gap {(value - bound) * scale:.3g}")
-    return value * scale
+                            f"with Holder gap {(value - bound) / value:.3g} of the value")
+    return value, best
 
 
-def _cone_distance(r0, A, p):
-    """min_a ||r0 - A a||_p over complex a, p in {1, inf}, by a log-barrier method.
+def _cone_distance(r0, U, p):
+    """min_a ||r0 - U a||_p over complex a, p in {1, inf}, by a log-barrier method.
 
-    Each stage minimizes tau * (sum_j t_j at p = 1, t at p = inf) minus
+    Returns (value, r), the last iterate's residual r and its p-norm.  U
+    has orthonormal columns and r0 has max-abs 1 (_descent).  Each stage
+    minimizes tau * (sum_j t_j at p = 1, t at p = inf) minus
     sum_j log(t_j^2 - |r_j|^2) over z, the real and imaginary parts of a,
     by damped Newton steps z += dz / (1 + lam), lam^2 = -grad . dz (Boyd &
     Vandenberghe, Convex Optimization, 9.6 and 11.3).  No line search: an
@@ -366,15 +368,10 @@ def _cone_distance(r0, A, p):
     start the next one near the central path, and stop at lam^2 <= 0.1.
     tau starts at 2n and grows x100 per stage, but to at most twice the
     value the stopping test needs, as the rounding floor of lam^2 grows
-    with tau.  r0, a least-squares residual, is scaled to max-abs 1, so it
-    is at least 1 / sqrt(n) from the span and nearby points keep their digits.
-
-    Newton steps do not depend on coordinates: the columns give way to
-    _range_basis(A), an orthonormal basis of their span.  The
-    Hessian K^T diag(w) K has every w > 0, K holding each cone's directions
-    along u_j = r_j / |r_j| and along i u_j in z; written as I / t_j minus a
-    rank-one term, the small curvature along u_j is lost to rounding.  At
-    p = 1 each t_j is minimized out, t_j = (1 + s_j) / tau with
+    with tau.  The Hessian K^T diag(w) K has every w > 0, K holding each
+    cone's directions along u_j = r_j / |r_j| and along i u_j in z; written
+    as I / t_j minus a rank-one term, the small curvature along u_j is lost
+    to rounding.  At p = 1 each t_j is minimized out, t_j = (1 + s_j) / tau with
     s_j = sqrt(1 + tau^2 |r_j|^2), leaving w = tau / (t_j s_j) along u_j and
     tau / t_j along i u_j.  At p = inf t is one more unknown, the log splits
     into the slacks t -+ |r_j| with w = 1 / slack^2 (both must stay
@@ -385,11 +382,8 @@ def _cone_distance(r0, A, p):
     centre in 60 steps, or an iterate that leaves the cone or is not finite,
     raises SolverFailure.
     """
-    n = A.shape[0]
-    scale = float(np.abs(r0).max())
-    r0 = r0 / scale
-    A = _range_basis(A)
-    Ac, k = A.conj(), A.shape[1]
+    n, k = U.shape
+    Uc = U.conj()
     inf = p == math.inf
     K = np.zeros(((2 + inf) * n, 2 * k + inf))
     # at p = inf the rows of K are d(t - |r_j|), -d(t + |r_j|) and i u_j, all
@@ -399,9 +393,9 @@ def _cone_distance(r0, A, p):
     a, t = np.zeros(k, dtype=np.complex128), 2.0
     tau, steps = 2.0 * n, 0
     while True:
-        r = r0 - A @ a
+        r = r0 - U @ a
         rho = np.abs(r)
-        B = Ac * np.exp(1j * np.angle(r))[:, None]
+        B = Uc * np.exp(1j * np.angle(r))[:, None]
         K[-n:, : 2 * k] = (1j * B).view(np.float64)
         if inf:
             sig = np.concatenate([t - rho, t + rho])
@@ -432,35 +426,45 @@ def _cone_distance(r0, A, p):
                 tau, steps = min(100.0 * tau, 2.0 * need), 0
                 continue
             if lam2 <= 1e-6:
-                return value * scale
+                return value, r
         if not (math.isfinite(lam2) and steps < 60):
             break
         step = dz / (1.0 + math.sqrt(lam2))
         a, t, steps = a + step[: 2 * k].view(np.complex128), t + step[-1] * inf, steps + 1
-    raise SolverFailure(f"cone barrier (p={p}) stalled with gap bound {2.0 * n / tau * scale:.3g}")
+    raise SolverFailure(f"cone barrier (p={p}) stalled with gap bound {2.0 * n / tau:.3g} x max|r0|")
 
 
-def _descent(e_hat, A, p) -> float:
-    """min_a ||e_hat - A a||_p at smooth p, or at p in {1, inf} on complex
-    columns (real ones take the LP), from the least-squares residual r0.  An
-    r0 within 1e-13 * max|e_hat| of zero puts e_hat in the span, whatever p:
-    its p-norm is returned, since there the p-norm's gradient stays O(1)
-    and no descent would settle.  Otherwise p in {1, inf} runs
-    _cone_distance on r0, p > 2 runs _newton_smooth on r0 (Newton steps,
-    stopped on the Holder gap), and 1 < p < 2 runs L-BFGS from the
-    least-squares and zero starts, complex coefficients stacked as
-    (Re, Im)."""
-    coef, *_ = np.linalg.lstsq(A, e_hat, rcond=None)
-    r0 = e_hat - A @ coef
-    if float(np.abs(r0).max()) <= 1e-13 * float(np.abs(e_hat).max()):
-        return norm(r0, NormSpec(p))
-    if p in (1.0, math.inf):
-        return _cone_distance(r0, A, p)
-    if p > 2.0:
-        return _newton_smooth(r0, A, p)
-    if np.iscomplexobj(coef):
-        coef = np.concatenate([coef.real, coef.imag])
-    return _descent_smooth(e_hat, A, p, [coef, np.zeros_like(coef)])
+def _descent(e_hat, A, p):
+    """min_a ||e_hat - A a||_p and the residual e_hat - A a that attains it,
+    at smooth p or at complex p in {1, inf} (real ones take the LP).
+
+    r0 is the least-squares residual: lstsq's on the raw columns at
+    1 < p < 2, else e_hat - U U^H e_hat with U = _range_basis(A), one SVD.
+    An r0 within 1e-13 * max|e_hat| of zero puts e_hat in the span,
+    whatever p, and is returned: there the p-norm's gradient stays O(1) and
+    no descent would settle.  1 < p < 2 runs L-BFGS from lstsq's
+    coefficients and from zero, complex ones stacked as (Re, Im).  Else r0,
+    scaled to max-abs 1 so that it is at least 1 / sqrt(n) from the span
+    and points near it keep their digits, goes with U (steps do not depend
+    on coordinates) to _cone_distance at p in {1, inf} and to
+    _newton_smooth at p > 2, whose stopping tests are relative.
+    """
+    if 1.0 < p < 2.0:
+        coef, *_ = np.linalg.lstsq(A, e_hat, rcond=None)
+        r0 = e_hat - A @ coef
+    else:
+        U = _range_basis(A)
+        r0 = e_hat - U @ (U.conj().T @ e_hat)
+    scale = float(np.abs(r0).max())
+    if scale <= 1e-13 * float(np.abs(e_hat).max()):
+        return norm(r0, NormSpec(p)), r0
+    if 1.0 < p < 2.0:
+        if np.iscomplexobj(coef):
+            coef = np.concatenate([coef.real, coef.imag])
+        return _descent_smooth(e_hat, A, p, [coef, np.zeros_like(coef)])
+    solve = _cone_distance if p in (1.0, math.inf) else _newton_smooth
+    value, r = solve(r0 / scale, U, p)
+    return value * scale, r * scale
 
 
 def _route_table(e_hat, A, p) -> float:
@@ -469,7 +473,7 @@ def _route_table(e_hat, A, p) -> float:
         return _lstsq_distance(e_hat, A)
     if p in (1.0, math.inf) and not np.iscomplexobj(A):
         return _lp_distance(e_hat, A, p)[0]
-    return _descent(e_hat, A, p)
+    return _descent(e_hat, A, p)[0]
 
 
 def _pivoted_basis(A):
@@ -590,41 +594,34 @@ def best_scalar(t: np.ndarray, u: np.ndarray, spec: NormSpec = L2):
     t is one target (N,) or a stack of targets (J, N).  Returns (c, error):
     Python scalars for one target, length-J arrays for a stack.  Every row
     at once in closed form at p = 2, and at any other p on the real field by
-    _bisect_real; complex rows at p != 2 take Nelder-Mead one at a time,
-    started at the l2 coefficient.
+    _bisect_real.  A complex row at p != 2 is a distance to span{u}:
+    _descent returns the residual r it attains, and c = <u, t - r> / ||u||^2
+    (weights applied) reads its coefficient off.  The error is always
+    norm(t - c u, spec), attained at the c returned.
     """
     rows = np.atleast_2d(t)
     if t.ndim > 2 or rows.shape[1:] != u.shape:
         raise DimensionMismatch("target and direction have different dimensions")
-    complex_field = np.iscomplexobj(t) or np.iscomplexobj(u)
-    if t.ndim == 2 and spec.p != 2.0 and complex_field:
-        c, err = zip(*(best_scalar(r, u, spec) for r in t))
-        return np.array(c), np.array(err)
     nu = norm(u, spec)
     w = spec.weight_array(u.shape[0])
     uw = u if w is None else w * u
     tw = rows if w is None else w * rows
-    if spec.p == 2.0:
-        # one pairwise sum per row, so a row's value does not depend on J
-        c = (tw * uw.conj()).sum(axis=1)
-        c = c / float(np.real(np.vdot(uw, uw))) if nu > 0.0 else np.zeros(len(rows))
-        resid = rows - c[:, None] * u
-        err = np.linalg.norm(resid if w is None else w * resid, axis=1)
-    elif complex_field and nu > 0.0:
-        from scipy.optimize import minimize  # loaded only when a descent runs
-
-        c2 = complex(np.vdot(uw, tw[0])) / float(np.real(np.vdot(uw, uw)))
-
-        def f(ab):
-            return norm(t - complex(ab[0], ab[1]) * u, spec)
-
-        res = minimize(f, np.array([c2.real, c2.imag]), method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-13, "maxiter": 2000})
-        c = complex(res.x[0], res.x[1])
-        return c, norm(t - c * u, spec)
+    uu = float(np.real(np.vdot(uw, uw)))
+    if nu == 0.0:
+        c = np.zeros(len(rows))
+    elif spec.p == 2.0:
+        c = (tw * uw.conj()).sum(axis=1) / uu  # one pairwise sum per row: no row depends on J
+    elif np.iscomplexobj(t) or np.iscomplexobj(u):
+        tw, uw = tw.astype(np.complex128), uw.astype(np.complex128)
+        fits = np.array([row - _descent(row, uw[:, None], spec.p)[1] for row in tw])
+        c = (fits * uw.conj()).sum(axis=1) / uu
     else:
-        c = _bisect_real(tw, uw, nu, spec.p) if nu > 0.0 else np.zeros(len(rows))
-        err = np.array([norm(r, spec) for r in rows - c[:, None] * u])
+        c = _bisect_real(tw, uw, nu, spec.p)
+    resid = rows - c[:, None] * u
+    if spec.p == 2.0:
+        err = np.linalg.norm(resid if w is None else w * resid, axis=1)
+    else:
+        err = np.array([norm(r, spec) for r in resid])
     return (c[0].item(), err[0].item()) if t.ndim == 1 else (c, err)
 
 
@@ -639,7 +636,7 @@ def distance_convex_descent(e: np.ndarray, generators, spec: NormSpec = L2) -> f
         return norm(e, spec)
     e_hat, A = _scaled_columns(e, generators, spec)
     if spec.p not in (1.0, math.inf) or np.iscomplexobj(A):
-        return _descent(e_hat, A, spec.p)
+        return _descent(e_hat, A, spec.p)[0]
     _, y = _lp_distance(e_hat, A, spec.p)
     Q = _pivoted_basis(A)
     y_off = y - Q @ (Q.T @ y)

@@ -326,6 +326,30 @@ def test_exit_codes(capsys, tmp_path):
     assert record["step"] == 3
 
 
+def test_density_solver_failure_is_a_domain_error(capsys, tmp_path, monkeypatch):
+    # a complex fit at p != 2 runs the distance solvers: a SolverFailure
+    # there exits 1 with an error record naming it
+    from orbitgap import TargetSet, subspace
+    from orbitgap.errors import SolverFailure
+
+    def fail(r0, U, p):
+        raise SolverFailure(f"cone barrier (p={p}) stalled")
+
+    monkeypatch.setattr(subspace, "_cone_distance", fail)
+    x = np.array([1.0 + 1.0j, 0.5, 0.25j, 0.0])
+    rec.write_record(tmp_path / "x.json", rec.encode_vector(x))
+    rec.write_record(tmp_path / "t.json", rec.encode_targets(TargetSet.uniform([x[::-1]], 0.5)))
+    code, _, err = run_cli(
+        capsys, "density", "--operator", "rolewicz:2", "--x", str(tmp_path / "x.json"),
+        "--targets", str(tmp_path / "t.json"), "--horizon", "2", "--norm", "l1",
+    )
+    assert code == 1
+    record = json.loads(err)
+    assert record["kind"] == "error"
+    assert record["error"] == "SolverFailure"
+    assert "p=1.0" in record["message"]
+
+
 def _operator_files(tmp_path):
     """Record files for every file-backed operator form, dimension 16."""
     files = {

@@ -20,13 +20,14 @@ from orbitgap import (
     norm,
     orbit_stream,
 )
-from orbitgap import dynamics
+from orbitgap import dynamics, subspace
 from orbitgap.space import basis_vector
 from orbitgap.operators import BackwardShift
 from orbitgap.errors import (
     ConfigError,
     DimensionMismatch,
     EmptyTargets,
+    SolverFailure,
     TruncationTooSmall,
 )
 
@@ -250,11 +251,11 @@ def _weighted_case():
     return RolewiczMultiple(2.0), rng.uniform(0.5, 1.5, 24), ts, 20, spec
 
 
-def _complex_case():
+def _complex_case(spec=L2):
     rng = np.random.default_rng(52)
     draws = [rng.standard_normal(16) + 1j * rng.standard_normal(16) for _ in range(4)]
     ts = TargetSet.uniform(draws, 1.0)
-    return RolewiczMultiple(1.5), rng.standard_normal(16) + 1j * rng.standard_normal(16), ts, 12, L2
+    return RolewiczMultiple(1.5), rng.standard_normal(16) + 1j * rng.standard_normal(16), ts, 12, spec
 
 
 def _dying_case():
@@ -279,7 +280,8 @@ def _real_case(p, weighted):
 @pytest.mark.parametrize("case", [
     _weighted_case, _complex_case, _dying_case, _tie_case,
     lambda: _real_case(1.0, True), lambda: _real_case(math.inf, False), lambda: _real_case(3.0, False),
-], ids=["weighted", "complex", "dying", "tie", "weighted-l1", "linf", "p3"])
+    lambda: _complex_case(LINF),
+], ids=["weighted", "complex", "dying", "tie", "weighted-l1", "linf", "p3", "complex-linf"])
 def test_density_matches_per_pair_reference(case):
     T, x, ts, horizon, spec = case()
     report = density_check(T, x, ts, horizon, spec)
@@ -295,6 +297,21 @@ def test_density_matches_per_pair_reference(case):
         assert [rec.best_n for rec in report.records] == [1, 0]
     if case is _dying_case:
         assert report.orbit_exhausted_at == 2
+
+
+@pytest.mark.parametrize("spec, solver", [
+    (L1, "_cone_distance"), (NormSpec(3.0), "_newton_smooth"), (LINF, "_cone_distance"),
+], ids=["l1", "p3", "linf"])
+def test_complex_density_propagates_a_solver_failure(monkeypatch, spec, solver):
+    # a complex fit at p != 2 is a distance solve: its SolverFailure ends
+    # density_check, never a record with a best guess
+    def fail(r0, U, p):
+        raise SolverFailure(f"stalled (p={p})")
+
+    monkeypatch.setattr(subspace, solver, fail)
+    T, x, ts, horizon, _ = _complex_case(spec)
+    with pytest.raises(SolverFailure, match=f"p={spec.p}"):
+        density_check(T, x, ts, horizon, spec)
 
 
 def test_density_scores_all_targets_per_power(monkeypatch):

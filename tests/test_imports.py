@@ -8,7 +8,8 @@ L2 `orbitgap extract` must never import a scipy module: scipy.linalg alone
 is most of a short process's start-up time and a third of its memory.  The
 complex L1 and Linf barrier is numpy alone too, and so is the Newton
 descent at p > 2, so `distance` at complex p in {1, inf} and at p = 3 on
-either field loads no scipy module either.
+either field loads no scipy module either, and neither does a complex
+`density_check` at those p, whose fits run the same solvers.
 """
 
 import os
@@ -70,6 +71,20 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
+COMPLEX_DENSITY = """
+import sys
+import numpy as np
+import orbitgap as og
+rng = np.random.default_rng(7)
+T = og.Diagonal(tuple(rng.uniform(0.5, 1.5, 16) * np.exp(2j * np.pi * rng.random(16))))
+x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+targets = og.TargetSet.uniform([rng.standard_normal(16) + 1j * rng.standard_normal(16)], 0.5)
+for p in (1.0, 3.0, float("inf")):
+    assert og.density_check(T, x, targets, 6, og.NormSpec(p)).records[0].error > 0.0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
 def scipy_modules_after(snippet):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -89,3 +104,7 @@ def test_complex_cone_distance_leaves_scipy_unloaded():
 
 def test_smooth_newton_distance_leaves_scipy_unloaded():
     assert scipy_modules_after(SMOOTH_NEWTON_DISTANCE) == "[]"
+
+
+def test_complex_density_leaves_scipy_unloaded():
+    assert scipy_modules_after(COMPLEX_DENSITY) == "[]"

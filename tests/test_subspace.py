@@ -745,6 +745,47 @@ def test_best_scalar_general_p_beats_grid():
         grid = np.linspace(-5.0, 5.0, 4001)
         brute = min(norm(t - g * u, spec) for g in grid)
         assert err <= brute + 1e-15 * norm(t, spec)
+    # complex rows: a 2-D grid around the l2 coefficient c2, and c2 itself;
+    # the error is the one attained at the c returned
+    t = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    u = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    c2 = np.vdot(u, t) / np.vdot(u, u).real
+    steps = np.linspace(-2.0, 2.0, 401)
+    grid = (c2 + steps[:, None] + 1j * steps).ravel()
+    for spec in (L1, NormSpec(1.5), NormSpec(3.0), LINF):
+        c, err = best_scalar(t, u, spec)
+        assert type(c) is complex and err == norm(t - c * u, spec)
+        brute = np.linalg.norm(t - grid[:, None] * u, spec.p, axis=1).min()
+        assert err <= min(brute, norm(t - c2 * u, spec)) + 1e-15 * norm(t, spec), spec
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("p, branch", [
+    (3.0, None), (1.0, "_cone_distance"), (math.inf, "_cone_distance"),
+    (3.0, "_newton_smooth"), (1.5, "_descent_smooth"),
+], ids=["inside-span", "cone-l1", "cone-linf", "newton-p3", "lbfgs-p1.5"])
+def test_descent_returns_the_residual_it_measures(monkeypatch, field, p, branch):
+    # every branch returns (value, r) with r = e_hat - A a for some a and
+    # norm(r) the value: best_scalar reads its coefficient off r
+    ran = []
+
+    def spy(name, solver):
+        def run(*args):
+            ran.append(name)
+            return solver(*args)
+        return run
+
+    for name in ("_cone_distance", "_newton_smooth", "_descent_smooth"):
+        monkeypatch.setattr(subspace, name, spy(name, getattr(subspace, name)))
+    rng = np.random.default_rng(16)
+    gens, _ = rand_span(rng, 12, 4, field)
+    e = gens.pop() if branch else 0.5 * gens[0] - 2.0 * gens[2]
+    e_hat, A = subspace._scaled_columns(e, gens, NormSpec(p))
+    value, r = subspace._descent(e_hat, A, p)
+    assert ran == ([branch] if branch else [])
+    assert abs(norm(r, NormSpec(p)) - value) <= 1e-15 * value
+    coef, *_ = np.linalg.lstsq(A, e_hat - r, rcond=None)
+    assert np.linalg.norm(e_hat - r - A @ coef) <= 1e-13 * np.linalg.norm(e_hat)
 
 
 def exact_one_column(t, u, p):
