@@ -126,6 +126,8 @@ def parse_config(argv, config_text=None):
         with open(ns.config) as fh:
             config_text = fh.read()
     _merge_config(ns, config_text, commands)
+    if ns.dim is not None and ns.dim < 2:
+        raise UsageError(f"--dim must be >= 2 (the truncation dimension), got {ns.dim}")
     return ns
 
 

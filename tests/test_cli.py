@@ -299,6 +299,25 @@ def test_dist_complex_point_has_no_witness_line(capsys):
     assert record["spread"] == abs(record["batchOracle"] - record["value"])
 
 
+@pytest.mark.parametrize("args", [
+    ["dist", "--seed", "1", "--dim", "-3"],
+    ["dist", "--seed", "1", "--dim", "0"],
+    ["dist", "--seed", "1", "--dim", "1"],
+    ["extract", "--operator", "backward-shift", "--dim", "-2", "--x", "[1,2,3]"],
+], ids=["dist-negative", "dist-zero", "dist-one", "backward-shift-negative"])
+def test_dim_below_two_is_a_usage_error(capsys, tmp_path, args):
+    # a vector has at least 2 entries (space.vector): a shorter --dim is
+    # refused before it reaches numpy or an operator, from a flag or a config file
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "--dim must be >= 2" in err
+    i = args.index("--dim")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dim": int(args[i + 1])}))
+    code, _, err = run_cli(capsys, *args[:i], *args[i + 2:], "--config", str(config))
+    assert code == 2 and err.startswith("error:") and "--dim must be >= 2" in err
+
+
 def test_exit_codes(capsys, tmp_path):
     # usage error: no subcommand input
     code, _, err = run_cli(capsys, "extract", "--operator", "rolewicz:2")

@@ -32,24 +32,24 @@ except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
 DIGESTS = {
     (902, 2.0, "certificate"): "9cce06fb1dddc911200331722f41bda4a33b90efbf2034d1931fda699cd09339",
     (902, 2.0, "verification"): "eb5885e5ff9351ee32b3260b6443d1da75c69c64ad109a7a25649c68e238446b",
-    (902, 1.5, "certificate"): "bbdf0feda32e24eb6a0c54457f61c7cdeec0ce509756e2eeba3b156e02fcc116",
-    (902, 1.5, "verification"): "bc6d203a7166172feb9da52d68a833b6cf223d7770d41bb3f8d2ebfd2f26a7ba",
+    (902, 1.5, "certificate"): "e7370f3ba5b07c07b7b2f388787eb60bbd78fbe6ad878314d5bc51bac4cfb892",
+    (902, 1.5, "verification"): "a15220d35a6709ddb6e91aa5dba7d9d7f977c99d35a2800920b0d2266a65bac3",
     (902, 3.0, "certificate"): "f17ddb3e4b9e3d22f8b55cd19e86e267c7eecab0a5b691f8ba81f3231e866ec7",
     (902, 3.0, "verification"): "63533faa33395f41b65ff59758cd91b7028541f46a95888a6f521be1ff684c42",
     (902, math.inf, "certificate"): "5c40eb52535a1afc4295be9028bf6dc85377f36401df5da9cd209157b5e3cc96",
     (902, math.inf, "verification"): "b951457627507b0c37453af5b5d15e3ea72d3d62a801a3d44f06a270fe92cc9e",
     (904, 2.0, "certificate"): "b9a9c202644f77acf14268baba6c667add3df2d0806d52c2ab5076b2737832d2",
     (904, 2.0, "verification"): "3433d0ea41e18fe0a313583707f21fce0507b7b7fba257876acf4c36b0540557",
-    (904, 1.5, "certificate"): "10fda2c90a92947dd3e745697fa0fd0315317cc18cea7170019d2fb9e46ad09f",
-    (904, 1.5, "verification"): "4063e59084e74707e7c9394064517149f864f905d341925575cdc0dd779cd227",
+    (904, 1.5, "certificate"): "9cd931f6110546dfb1f8f7de45a045abacaa62419fd6ab5ef75bcf42beaffc44",
+    (904, 1.5, "verification"): "5cc2c51944b49ede4dcf34fad448fdd5e4e815d61f4d8075ee86c2aaa0339cc3",
     (904, 3.0, "certificate"): "543f56b8113ccf95d7b7987ad6247111cf1f683abec608c4aa225c8f48edea3a",
     (904, 3.0, "verification"): "b77d85418669876ae36116ed33847761234a9dd752ac1f936155f05044dc80be",
     (904, math.inf, "certificate"): "c4283a66122df9babecc6bd65c8ce65ac635284623c6d8f3fc841444dc12b446",
     (904, math.inf, "verification"): "13d2d7b41ab98dbb2986c59aca8a77b47f3cd2bd6debb308cb413ee3d43c8332",
     (908, 2.0, "certificate"): "1221d9f1be9d943e45c742212811d1b2d92742a2afb02563408c306827ef6134",
     (908, 2.0, "verification"): "aae40f36ceb9c3cd4e4eba6869770a49f8836d580b3ad6526f3ffc11fdc10e62",
-    (908, 1.5, "certificate"): "1539584e2e958719b116bdef99e999ebbca6fd6adf135ef5daf5aad3e2be9f4f",
-    (908, 1.5, "verification"): "8e59dcaacf28d475cff2e22a30238441e48a279455315ae3d385b256ad70ce4f",
+    (908, 1.5, "certificate"): "f57d06268482adbd667437acd1f7dc4d7d874bda7daadd24a1e16808eae83e6c",
+    (908, 1.5, "verification"): "5cc2c51944b49ede4dcf34fad448fdd5e4e815d61f4d8075ee86c2aaa0339cc3",
     (908, 3.0, "certificate"): "29b352915542183d3617b2d18f1c01ed41c79e45d6a45a6f2d19ae0182416c4e",
     (908, 3.0, "verification"): "b77d85418669876ae36116ed33847761234a9dd752ac1f936155f05044dc80be",
     (908, math.inf, "certificate"): "9eb6d298400ad18451f6bc569930a93762f8f3c13fdf21a1db03be195e81e405",

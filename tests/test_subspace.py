@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -626,10 +627,11 @@ def test_complex_cone_distance_fails_closed(monkeypatch, spec, newton):
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-@pytest.mark.parametrize("p", [3.0, 4.0])
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.8, 3.0, 4.0])
 def test_smooth_newton_scales_with_the_point(p, field):
-    # d(c e) = c d(e) at p > 2: r0 is scaled to max-abs 1 and the Holder
-    # gap stop is relative, so neither tiny nor huge points read high
+    # d(c e) = c d(e) at smooth p: r0 is scaled to max-abs 1 and both the
+    # Newton and the L-BFGS stops are relative, so neither tiny nor huge
+    # points read high
     rng = np.random.default_rng(8)
     gens, _ = rand_span(rng, 12, 3, field)
     e = rng.standard_normal(12)
@@ -658,6 +660,21 @@ def test_smooth_newton_fails_closed(monkeypatch, field):
     e = rng.standard_normal(8) + (1j * rng.standard_normal(8) if field == "complex" else 0.0)
     with pytest.raises(SolverFailure, match=r"p=3\.0\) stopped after 0 steps with Holder gap"):
         distance(e, Y, NormSpec(3.0))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_smooth_lbfgs_fails_closed(monkeypatch, field):
+    # an L-BFGS run that reports no success at a = 0 is accepted only on a
+    # Holder gap of at most 1e-9, and the least-squares point's is far above
+    def stalled(fun, x0, **kwargs):
+        return SimpleNamespace(x=np.zeros_like(x0), success=False)
+
+    monkeypatch.setattr("scipy.optimize.minimize", stalled)
+    rng = np.random.default_rng(12)
+    gens, Y = rand_span(rng, 8, 2, field)
+    e = rng.standard_normal(8) + (1j * rng.standard_normal(8) if field == "complex" else 0.0)
+    with pytest.raises(SolverFailure, match=r"p=1\.5\) stopped with Holder gap"):
+        distance(e, Y, NormSpec(1.5))
 
 
 SEED_70362_DRAW = """

@@ -19,8 +19,8 @@ group of cases (the first word of a case's name: every sweep groups by p).
 
 Sweeps:
   builder          builder vectors for seeds 900-911 at N=256, K=16,
-                   horizon 96, theta=1.01, p in {1, 1.5, 3, inf}, extracted
-                   and verified
+                   horizon 96, theta=1.01, p in {1, 1.2, 1.5, 1.8, 3, inf},
+                   extracted and verified
   complex-diagonal complex Diagonal operators for seeds 0-39, p in
                    {1, 1.5, 3, inf}: N from integers(12, 41), entries
                    uniform(0.5, 1.5) e^(2 pi i random()), a complex Gaussian
@@ -64,7 +64,7 @@ def builder_cases(og):
     """Builder vectors as tests/test_record_digests.py draws them, seeds 900-911."""
     import numpy as np
 
-    for p in (1.0, 1.5, 3.0, math.inf):
+    for p in (1.0, 1.2, 1.5, 1.8, 3.0, math.inf):
         spec = og.NormSpec(p)
         for seed in range(900, 912):
             rng = np.random.default_rng(seed)
