@@ -128,6 +128,8 @@ def parse_config(argv, config_text=None):
     _merge_config(ns, config_text, commands)
     if ns.dim is not None and ns.dim < 2:
         raise UsageError(f"--dim must be >= 2 (the truncation dimension), got {ns.dim}")
+    if getattr(ns, "rank", None) is not None and ns.rank < 1:
+        raise UsageError(f"--rank must be >= 1 (the generator count), got {ns.rank}")
     return ns
 
 
@@ -342,6 +344,8 @@ def _cmd_dist(ns):
         if ns.x is None:
             raise UsageError("missing vector source: --span needs --x as the point")
         gens = _read_decoded(ns.span, "span", {"vectors": records.decode_vectors})
+        if not gens:
+            raise UsageError(f"{ns.span}: span record has no vectors")
         e = _resolve_x(ns, None, ns.dim)
     elif ns.seed is not None:
         dim = ns.dim if ns.dim is not None else 16

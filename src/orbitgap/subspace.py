@@ -25,18 +25,17 @@ row at p != 2 by _descent, as its distance to the span of one vector.
 
 distance_batch_oracle runs the same table with no incremental state and
 serves as ground truth in verification and tests: at p = 2 on the raw
-generators, at any other p on a column-pivoted Householder QR basis of them.
-prefix_distances gives the oracle's value at every prefix from one unpivoted
-QR of [A | e_hat]: ||R[k:, K]|| from numpy's R-only QR at p = 2; at real
-p in {1, inf} the dual LPs of every Q[:, :k] of scipy's QR, stacked as
-block-diagonal models of at most _LP_NONZEROS nonzeros (_prefix_lp_distances),
-so a verify pays scipy's per-call LP wrapper once per model, not once per
-prefix; the route table on Q[:, :k] else.  It runs the oracle per prefix
-instead when a generator is dependent.  scipy is imported only inside the
-functions that call it, so neither distance() nor best_scalar loads any of
-it at p = 2, at complex p in {1, inf} or at p > 2.
+generators, at any other p on their _range_basis, so the oracle has one rank
+rule at every p, lstsq's.  prefix_distances gives the oracle's value at
+every prefix from one unpivoted numpy QR of [A | e_hat]: ||R[k:, K]|| from
+the R-only QR at p = 2; at real p in {1, inf} the dual LPs of every
+Q[:, :k], stacked as block-diagonal models of at most _LP_NONZEROS nonzeros
+(_prefix_lp_distances), so a verify pays scipy's per-call LP wrapper once
+per model, not once per prefix; the route table on Q[:, :k] else.  It runs
+the oracle per prefix instead when a generator is dependent.  scipy is
+imported only inside the functions that run an LP or L-BFGS.
 distance_convex_descent runs _descent on the raw columns, but at real p in
-{1, inf} it gives the Holder bound <e_hat, y> / ||y||_q of the LP's maximizer.
+{1, inf} it gives _holder_bound of the LP's maximizer.
 """
 
 import math
@@ -239,13 +238,18 @@ def _pnorm_and_grad(rho, p):
 
 
 def _holder_bound(r0, U, y, p):
-    """Re<r0, y'> / ||y'||_q, y' = y - U U^H y and 1/p + 1/q = 1 (0 if y' = 0).
-    y' vanishes on the span of U's orthonormal columns, so by Holder this
-    bounds min_a ||r0 - U a||_p below for any y, with equality at the
-    optimum for y = |r|^(p-2) r (minimum-norm duality, _lp_distance)."""
+    """Re<r0, y'> / ||y'||_q, y' = y - U U^H y and 1/p + 1/q = 1 (q = inf at
+    p = 1, q = 1 at p = inf).  y' vanishes on the span of U's orthonormal
+    columns, so by Holder this bounds min_a ||r0 - U a||_p below for any y,
+    with equality at the optimum for y = |r|^(p-2) r at smooth p and for the
+    dual LP's maximizer at p in {1, inf} (minimum-norm duality, _lp_distance).
+    It is 0 when ||y'|| <= DEPENDENCY_TOL * ||y||: y is in the span by
+    extend's test, and what is left of it is rounding."""
     y_off = y - U @ (U.conj().T @ y)
-    yq = norm(y_off, NormSpec(p / (p - 1.0)))
-    return float(np.vdot(y_off, r0).real) / yq if yq > 0.0 else 0.0
+    if not np.linalg.norm(y_off) > DEPENDENCY_TOL * np.linalg.norm(y):
+        return 0.0
+    q = math.inf if p == 1.0 else 1.0 if p == math.inf else p / (p - 1.0)
+    return float(np.vdot(y_off, r0).real) / norm(y_off, NormSpec(q))
 
 
 def _descent_smooth(r0, U, p):
@@ -288,7 +292,9 @@ def _descent_smooth(r0, U, p):
 
 def _range_basis(A):
     """Orthonormal basis of A's columns from one SVD, cut where lstsq's
-    default rcond cuts (raw columns may be dependent or tiny)."""
+    default rcond cuts (raw columns may be dependent or tiny): the numerical
+    rank of Golub & Van Loan, 4th ed., 5.4, shared by _descent and the
+    oracle."""
     U, sv, _ = np.linalg.svd(A, full_matrices=False)
     return np.ascontiguousarray(U[:, sv > np.finfo(float).eps * max(A.shape) * sv[:1]])
 
@@ -471,15 +477,6 @@ def _route_table(e_hat, A, p) -> float:
     return _descent(e_hat, A, p)[0]
 
 
-def _pivoted_basis(A):
-    """Pivoted-QR orthonormal basis of A's columns, cut at |R_ii| <= DEPENDENCY_TOL * |R_00|."""
-    from scipy.linalg import qr  # loaded only when a p != 2 route runs
-
-    Q, R, _ = qr(A, mode="economic", pivoting=True)
-    r = np.abs(np.diag(R))
-    return Q[:, : int(np.count_nonzero(r > DEPENDENCY_TOL * r[:1]))]
-
-
 def distance(e: np.ndarray, Y: SpanBasis, spec: NormSpec = L2) -> float:
     """min over y in span Y of norm(e - y, spec).
 
@@ -504,18 +501,19 @@ def distance_batch_oracle(e: np.ndarray, generators, spec: NormSpec = L2) -> flo
     """Ground-truth distance recomputed from the raw generators.
 
     No incremental state.  p = 2 is a full least-squares solve on them.  Any
-    other p runs the route table on a column-pivoted Householder QR basis of
-    the scaled columns, cut at the numerical rank (|R_ii| > DEPENDENCY_TOL *
-    |R_00|): the same span even with dependent generators, independent of
-    SpanBasis, and well conditioned, where descent on raw orbit directions
-    (condition ~1e4) can stop short of the minimum.
+    other p runs the route table on _range_basis of the scaled columns, the
+    SVD basis cut where lstsq's default rcond cuts: one rank rule at every
+    p, so the oracle keeps every direction least squares keeps, independent
+    of SpanBasis and of extend's DEPENDENCY_TOL, and well conditioned, where
+    descent on raw orbit directions (condition ~1e4) can stop short of the
+    minimum.
     """
     generators = list(generators)
     if not generators:
         return norm(e, spec)
     e_hat, A = _scaled_columns(e, generators, spec)
     if spec.p != 2.0:
-        A = _pivoted_basis(A)
+        A = _range_basis(A)
     return _route_table(e_hat, A, spec.p)
 
 
@@ -524,14 +522,15 @@ def prefix_distances(e: np.ndarray, generators, spec: NormSpec = L2) -> list:
 
     One unpivoted Householder QR of [A | e_hat] serves every prefix: at
     p = 2 the k-th distance is ||R[k:, K]|| (Golub & Van Loan, 4th ed., 5.3),
-    read from numpy's mode="r" QR with no Q formed.  At real p in {1, inf}
-    _prefix_lp_distances solves _lp_distance's model for every Q[:, :k] of
-    scipy's QR, consecutive prefixes sharing one block-diagonal LP; its
-    values agree with one LP per prefix to HiGHS's tolerances, not to the
-    bit.  At any other p the route table runs on Q[:, :k].  A dropped zero column,
-    K >= N or |R_ii| <= DEPENDENCY_TOL (the columns are unit, so this is
-    extend's test) falls back to the oracle per prefix: a Householder step
-    on a dependent column would add to Q a direction that is not in the span.
+    read from numpy's mode="r" QR with no Q formed.  Any other p takes Q
+    from numpy's reduced QR.  At real p in {1, inf} _prefix_lp_distances
+    solves _lp_distance's model for every Q[:, :k], consecutive prefixes
+    sharing one block-diagonal LP; its values agree with one LP per prefix
+    to HiGHS's tolerances, not to the bit.  At any other p the route table
+    runs on Q[:, :k].  A dropped zero column, K >= N or |R_ii| <=
+    DEPENDENCY_TOL (the columns are unit, so this is extend's test) falls
+    back to the oracle per prefix: a Householder step on a dependent column
+    would add to Q a direction that is not in the span.
     """
     generators = list(generators)
     K = len(generators)
@@ -542,8 +541,7 @@ def prefix_distances(e: np.ndarray, generators, spec: NormSpec = L2) -> list:
             if spec.p == 2.0:
                 R = np.linalg.qr(M, mode="r")
             else:
-                from scipy.linalg import qr  # loaded only when a p != 2 route runs
-                Q, R = qr(M, mode="economic")
+                Q, R = np.linalg.qr(M)
             if np.abs(np.diag(R)[:K]).min() > DEPENDENCY_TOL:
                 if spec.p == 2.0:
                     return np.hypot.accumulate(np.abs(R[:0:-1, K]))[::-1].tolist()
@@ -622,10 +620,10 @@ def best_scalar(t: np.ndarray, u: np.ndarray, spec: NormSpec = L2):
 
 def distance_convex_descent(e: np.ndarray, generators, spec: NormSpec = L2) -> float:
     """Second route to the same distance, on the raw scaled columns: _descent,
-    except at real p in {1, inf}, where the dual LP's maximizer y, made
-    orthogonal to the span by a pivoted QR basis, bounds it below by
-    <e_hat, y> / ||y||_q (Holder), equal at the optimum.  Any such y is a
-    valid bound, so meeting the LP rules out a too-high LP value."""
+    except at real p in {1, inf}, where the dual LP's maximizer y bounds it
+    below by _holder_bound on _range_basis of the columns, equal at the
+    optimum.  Any such y is a valid bound, so meeting the LP rules out a
+    too-high LP value."""
     generators = list(generators)
     if not generators:
         return norm(e, spec)
@@ -633,9 +631,4 @@ def distance_convex_descent(e: np.ndarray, generators, spec: NormSpec = L2) -> f
     if spec.p not in (1.0, math.inf) or np.iscomplexobj(A):
         return _descent(e_hat, A, spec.p)[0]
     _, y = _lp_distance(e_hat, A, spec.p)
-    Q = _pivoted_basis(A)
-    y_off = y - Q @ (Q.T @ y)
-    if np.linalg.norm(y_off) <= DEPENDENCY_TOL * np.linalg.norm(y):
-        return 0.0  # y = 0, or in the span by extend's test: what is left is rounding
-    q = 1 if spec.p == math.inf else math.inf
-    return _nonnegative(float(e_hat @ y_off) / float(np.linalg.norm(y_off, q)))
+    return _nonnegative(_holder_bound(e_hat, _range_basis(A), y, spec.p))

@@ -318,6 +318,28 @@ def test_dim_below_two_is_a_usage_error(capsys, tmp_path, args):
     assert code == 2 and err.startswith("error:") and "--dim must be >= 2" in err
 
 
+@pytest.mark.parametrize("rank", [0, -2], ids=["zero", "negative"])
+def test_rank_below_one_is_a_usage_error(capsys, tmp_path, rank):
+    # no generators would reach SpanBasis.from_vectors as an empty list, a
+    # domain error; the count is refused first, from a flag or a config file
+    args = ["dist", "--seed", "1", "--dim", "4"]
+    code, out, err = run_cli(capsys, *args, "--rank", str(rank))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "--rank must be >= 1" in err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rank": rank}))
+    code, _, err = run_cli(capsys, *args, "--config", str(config))
+    assert code == 2 and err.startswith("error:") and "--rank must be >= 1" in err
+
+
+def test_span_of_no_vectors_is_a_usage_error(capsys, tmp_path):
+    span_path = tmp_path / "span.json"
+    span_path.write_text(json.dumps({"kind": "vectors", "field": "real", "vectors": []}))
+    code, out, err = run_cli(capsys, "dist", "--span", str(span_path), "--x", "[1,1,1]")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "span record has no vectors" in err
+
+
 def test_exit_codes(capsys, tmp_path):
     # usage error: no subcommand input
     code, _, err = run_cli(capsys, "extract", "--operator", "rolewicz:2")

@@ -9,6 +9,7 @@ import pytest
 from orbitgap import (
     BackwardShift,
     Certificate,
+    DenseMatrix,
     Diagonal,
     ExtractionConfig,
     ForwardShift,
@@ -298,6 +299,24 @@ def test_verify_rejects_inflated_ledger():
     bad = dataclasses.replace(cert, distances=tuple(dists))
     report = verify_certificate(bad, T, x)
     assert not report.ok
+
+
+@pytest.mark.parametrize("spec", [L1, L2, NormSpec(3.0), LINF], ids=["l1", "l2", "p3", "linf"])
+def test_verify_refuses_a_span_that_holds_the_point(spec):
+    # T e0 = e1 and T e1 = e1 + 2^-36 e0, so span{T x', T^2 x'} = span{e0, e1}
+    # holds x' = 1.5 e0 and d_2 = 0; extend drops the 2^-36 direction, and
+    # the scan certifies d_2 = 1.5.  The oracle keeps every direction least
+    # squares keeps, at every p, so verify refuses the certificate
+    M = np.zeros((3, 3))
+    M[1, 0] = M[1, 1] = M[2, 2] = 1.0
+    M[0, 1] = 2.0**-36
+    T, x = DenseMatrix(M), np.array([1.0, 0.0, 0.0])
+    cfg = ExtractionConfig(horizon=4, max_steps=2, theta=1.01, norm_spec=spec)
+    cert = extract_subsequence(T, x, cfg)
+    assert cert.indices == (1, 2) and cert.distances == (1.5, 1.5)
+    report = verify_certificate(cert, T, x)
+    assert report.failed_check == "distance-deviation"
+    assert report.recomputed_distances[1] < 1e-4
 
 
 def _readme_certificate():

@@ -5,9 +5,9 @@ recorded distance by an ulp without failing any tolerance, so this test pins
 the record bytes themselves.  The sweep draws builder vectors for seeds 902,
 904 and 908 at N=256, K=16, horizon 96, theta=1.01, p in {2, 1.5, 3, inf, 1}:
 on these seeds the certified distances vary (3-12 distinct values per
-certificate), and swapping p = 1.5's unpivoted QR for numpy's reduced QR
-changes two of the verification digests.  Seeds whose distances all stay
-at the rescaled 1.5 (900-903 at N=128, K=8, for one) would not see it.
+certificate), so an ulp moved in any of them shows.  Seeds whose distances
+all stay at the rescaled 1.5 (900-903 at N=128, K=8, for one) would not
+see it.
 p = 1 pins the dual LP's route (6 distinct distances at seeds 904 and 908);
 the p in {1, inf} verification digests pin the block-diagonal prefix LPs.
 

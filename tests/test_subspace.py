@@ -168,6 +168,22 @@ def test_oracle_ignores_dependent_generators():
         )
 
 
+def test_oracle_keeps_nearly_dependent_directions():
+    # the last generator is the one before it plus 2^-34 (+-1 per entry), a
+    # singular value near 1e-11 that least squares keeps: the oracle keeps
+    # it too, so it never reads above the least-squares residual's norm, a
+    # point of e + span
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        gens = list(rng.choice([-1.0, 1.0], (8, 9)))
+        gens[-1] = gens[-2] + 2.0**-34 * rng.choice([-1.0, 1.0], 9)
+        e = rng.choice([-1.0, 1.0], 9)
+        A = np.stack(gens, axis=1)
+        r = e - A @ np.linalg.lstsq(A, e, rcond=None)[0]
+        for spec in (L1, LINF):
+            assert distance_batch_oracle(e, gens, spec) <= norm(r, spec) + 1e-9 * norm(e, spec)
+
+
 @pytest.fixture
 def qr_modes(monkeypatch):
     """The modes of the np.linalg.qr calls made while a test runs."""
@@ -193,7 +209,7 @@ def test_prefix_distances_on_builder_vectors(monkeypatch, qr_modes, spec, rtol):
     # the verifier's inputs on the builder's vector, whose entries run from
     # 1 down to ~1e-23 at N=128: the one-QR prefixes must match the oracle
     # run on each prefix separately, without falling back to it; p = 2
-    # reads R alone from numpy's QR, any other p takes scipy's Q
+    # reads R alone from numpy's QR, any other p takes Q from its reduced QR
     T = RolewiczMultiple(2.0)
     x = build_supercyclic_vector(2.0, default_target_set(128, count=8), 128, spec).x
     assert 0.0 < np.abs(x[x != 0]).min() < 1e-20
@@ -206,7 +222,7 @@ def test_prefix_distances_on_builder_vectors(monkeypatch, qr_modes, spec, rtol):
     qr_modes.clear()
     got = prefix_distances(cert.scaled_x, gens, spec)
     assert got == pytest.approx(expected, rel=rtol, abs=0.0)
-    assert qr_modes == (["r"] if spec.p == 2.0 else [])
+    assert qr_modes == (["r"] if spec.p == 2.0 else ["reduced"])
 
 
 @pytest.mark.parametrize("field", ["weighted", "complex"])
@@ -244,8 +260,8 @@ def test_prefix_distances_dependent_generators_fall_back(monkeypatch, qr_modes, 
     monkeypatch.setattr(subspace, "distance_batch_oracle", counted)
     assert prefix_distances(e, [v, v, w], spec) == expected
     assert calls == [1, 2, 3]
-    # at p = 2 the dependence test reads numpy's R-only QR
-    assert qr_modes == (["r"] if spec.p == 2.0 else [])
+    # the dependence test reads numpy's QR: R alone at p = 2, reduced else
+    assert qr_modes == (["r"] if spec.p == 2.0 else ["reduced"])
 
 
 def test_prefix_distances_of_no_generators():
@@ -278,10 +294,8 @@ def _lp_calls(monkeypatch):
 
 def _prefix_qr(e, gens, spec):
     """(e_hat, Q[:, :K]) as prefix_distances factors them."""
-    from scipy.linalg import qr
-
     e_hat, A = subspace._scaled_columns(e, gens, spec)
-    return e_hat, qr(np.column_stack([A, e_hat]), mode="economic")[0][:, : len(gens)]
+    return e_hat, np.linalg.qr(np.column_stack([A, e_hat]))[0][:, : len(gens)]
 
 
 def test_one_block_dual_model_is_the_dense_model():

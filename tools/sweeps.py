@@ -27,6 +27,21 @@ Sweeps:
                    x, extracted (horizon 40, K=8, theta=1.01) and verified;
                    then density_check of 3 complex Gaussian targets over
                    horizon 20
+  routes           distance, distance_batch_oracle ("oracle") and
+                   distance_convex_descent ("descent") at p in
+                   {1, 1.5, 3, inf}, with the p-norm of the least-squares
+                   residual e - A a_ls (numpy's lstsq, default rcond), a
+                   point of e + span:
+                   gaussian  300 draws of default_rng(17), dim from
+                             integers(8, 65), rank from integers(1, 17) below
+                             dim, Gaussian generators and point, complex on
+                             every third draw
+                   near      40 draws of default_rng(4), dim 9, rank 8, +-1
+                             generators and point, the last generator the
+                             one before it plus 2^-34 (+-1 per entry)
+                   compare reports each route's moves and failures, and how
+                   many oracle values sit above the least-squares point's
+                   norm by more than 1e-9 ||e||_p
 
 This is a tool for comparing commits, not a test: nothing here runs in the
 test suite or the benchmark.
@@ -110,7 +125,51 @@ def complex_diagonal_cases(og):
             yield f"p={p} seed={seed}", case
 
 
-SWEEPS = {"builder": builder_cases, "complex-diagonal": complex_diagonal_cases}
+def _routes(og, e, gens, spec):
+    """Each distance route's value (or its exception) and the least-squares point's p-norm."""
+    import numpy as np
+
+    routes = {}
+    for name, route in (("distance", lambda: og.distance(e, og.SpanBasis.from_vectors(gens), spec)),
+                        ("oracle", lambda: og.distance_batch_oracle(e, gens, spec)),
+                        ("descent", lambda: og.distance_convex_descent(e, gens, spec))):
+        try:
+            routes[name] = route()
+        except Exception as exc:
+            routes[name] = _error(exc)
+    A = np.stack(gens, axis=1)
+    a_ls = np.linalg.lstsq(A, e, rcond=None)[0]
+    return {"routes": routes, "lsq": og.norm(e - A @ a_ls, spec), "norm": og.norm(e, spec)}
+
+
+def routes_cases(og):
+    """Gaussian and nearly dependent +-1 distance problems on every route."""
+    import numpy as np
+
+    problems = []
+    rng = np.random.default_rng(17)
+    for draw in range(300):
+        dim = int(rng.integers(8, 65))
+        rank = int(rng.integers(1, min(17, dim)))
+        if draw % 3 == 2:
+            gens = list(rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim)))
+            e = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        else:
+            gens, e = list(rng.standard_normal((rank, dim))), rng.standard_normal(dim)
+        problems.append((f"gaussian draw={draw:03d}", e, gens))
+    rng = np.random.default_rng(4)
+    for draw in range(40):
+        gens = list(rng.choice([-1.0, 1.0], (8, 9)))
+        gens[-1] = gens[-2] + 2.0**-34 * rng.choice([-1.0, 1.0], 9)
+        problems.append((f"near draw={draw:02d}", rng.choice([-1.0, 1.0], 9), gens))
+    for p in (1.0, 1.5, 3.0, math.inf):
+        spec = og.NormSpec(p)
+        for name, e, gens in problems:
+            kind, _, draw = name.partition(" ")
+            yield f"{kind}:p={p} {draw}", _routes(og, e, gens, spec)
+
+
+SWEEPS = {"builder": builder_cases, "complex-diagonal": complex_diagonal_cases, "routes": routes_cases}
 
 
 def run(name, src):
@@ -127,10 +186,14 @@ def _failed(case):
     return None if case["ok"] else f"verify: {case['failed_check']}"
 
 
+def _relative_move(u, v, where):
+    """(relative move, where) from value u of A to value v of B."""
+    return ((v - u) / abs(u) if u else v - u, f"{where} {u!r} -> {v!r}")
+
+
 def _relative_moves(pairs, label):
-    """(relative move, where) for each pair of values (u, v) of A and B."""
-    return [((v - u) / abs(u) if u else v - u, f"{label}[{k}] {u!r} -> {v!r}")
-            for k, (u, v) in enumerate(pairs)]
+    """_relative_move for each pair of values (u, v) of A and B."""
+    return [_relative_move(u, v, f"{label}[{k}]") for k, (u, v) in enumerate(pairs)]
 
 
 def _report_moves(group, field, found):
@@ -145,6 +208,69 @@ def _report_moves(group, field, found):
     return lines
 
 
+def _compare_certificates(group, names, ca, cb):
+    lines, same, moves = [], 0, {"distances": [], "recomputed": []}  # (relative move, where) per field
+    for name in names:
+        x, y = ca[name], cb[name]
+        if "error" in x or "error" in y or x["indices"] != y["indices"]:
+            continue
+        same += 1
+        for field, found in moves.items():
+            found += _relative_moves(zip(x[field], y[field]), f"{name} {field}")
+    lines.append(f"[{group}] indices agree: {same} of {len(names)}")
+    for field, found in moves.items():
+        lines += _report_moves(group, field, found)
+    for side, cases in (("A", ca), ("B", cb)):
+        failures = [(name, why) for name in names if (why := _failed(cases[name]))]
+        lines.append(f"[{group}] failures in {side}: {len(failures)}")
+        lines += [f"  {name}: {why}" for name, why in failures]
+    dens = [name for name in names if "density" in ca[name] and "density" in cb[name]]
+    if not dens:
+        return lines
+    same, found = 0, []
+    for name in dens:
+        x, y = ca[name]["density"], cb[name]["density"]
+        if "error" in x or "error" in y:
+            continue
+        same += x["best_n"] == y["best_n"]
+        found += _relative_moves(zip(x["errors"], y["errors"]), f"{name} density errors")
+    lines.append(f"[{group}] density best_n agree: {same} of {len(dens)}")
+    lines += _report_moves(group, "density errors", found)
+    for side, cases in (("A", ca), ("B", cb)):
+        failures = [(name, cases[name]["density"]["error"]) for name in dens
+                    if "error" in cases[name]["density"]]
+        lines.append(f"[{group}] density failures in {side}: {len(failures)}")
+        lines += [f"  {name}: {why}" for name, why in failures]
+    return lines
+
+
+def _compare_routes(group, names, ca, cb):
+    lines = []
+    for route in ("distance", "oracle", "descent"):
+        found = []
+        for name in names:
+            u, v = ca[name]["routes"][route], cb[name]["routes"][route]
+            if not isinstance(u, dict) and not isinstance(v, dict):
+                found.append(_relative_move(u, v, f"{name} {route}"))
+        lines += _report_moves(group, route, found)
+        for side, cases in (("A", ca), ("B", cb)):
+            failures = [(name, value["error"]) for name in names
+                        if isinstance(value := cases[name]["routes"][route], dict)]
+            lines.append(f"[{group}] {route} failures in {side}: {len(failures)}")
+            lines += [f"  {name}: {why}" for name, why in failures]
+    for side, cases in (("A", ca), ("B", cb)):
+        # the least-squares residual is a point of e + span: the oracle, a
+        # minimum over the span, may sit above its norm by rounding only
+        excess = [((c["routes"]["oracle"] - c["lsq"]) / c["norm"], name) for name in names
+                  if not isinstance((c := cases[name])["routes"]["oracle"], dict)]
+        above = sum(rel > 1e-9 for rel, _ in excess)
+        rel, where = max(excess, default=(0.0, None))
+        lines.append(f"[{group}] oracle above the least-squares point by more than 1e-9 ||e|| "
+                     f"in {side}: {above} of {len(excess)}; largest excess {max(rel, 0.0) + 0.0:.3e} ||e||"
+                     + (f" ({where})" if rel > 0.0 else ""))
+    return lines
+
+
 def compare(a, b):
     """Lines describing how sweep output b moved from sweep output a, per
     group of cases (the first word of a case's name)."""
@@ -155,38 +281,8 @@ def compare(a, b):
     lines += [f"only in B: {name}" for name in cb if name not in ca]
     for group in sorted({name.split()[0] for name in shared}):
         names = [name for name in shared if name.split()[0] == group]
-        same, moves = 0, {"distances": [], "recomputed": []}  # (relative move, where) per field
-        for name in names:
-            x, y = ca[name], cb[name]
-            if "error" in x or "error" in y or x["indices"] != y["indices"]:
-                continue
-            same += 1
-            for field, found in moves.items():
-                found += _relative_moves(zip(x[field], y[field]), f"{name} {field}")
-        lines.append(f"[{group}] indices agree: {same} of {len(names)}")
-        for field, found in moves.items():
-            lines += _report_moves(group, field, found)
-        for side, cases in (("A", ca), ("B", cb)):
-            failures = [(name, why) for name in names if (why := _failed(cases[name]))]
-            lines.append(f"[{group}] failures in {side}: {len(failures)}")
-            lines += [f"  {name}: {why}" for name, why in failures]
-        dens = [name for name in names if "density" in ca[name] and "density" in cb[name]]
-        if not dens:
-            continue
-        same, found = 0, []
-        for name in dens:
-            x, y = ca[name]["density"], cb[name]["density"]
-            if "error" in x or "error" in y:
-                continue
-            same += x["best_n"] == y["best_n"]
-            found += _relative_moves(zip(x["errors"], y["errors"]), f"{name} density errors")
-        lines.append(f"[{group}] density best_n agree: {same} of {len(dens)}")
-        lines += _report_moves(group, "density errors", found)
-        for side, cases in (("A", ca), ("B", cb)):
-            failures = [(name, cases[name]["density"]["error"]) for name in dens
-                        if "error" in cases[name]["density"]]
-            lines.append(f"[{group}] density failures in {side}: {len(failures)}")
-            lines += [f"  {name}: {why}" for name, why in failures]
+        compare_group = _compare_routes if "routes" in ca[names[0]] else _compare_certificates
+        lines += compare_group(group, names, ca, cb)
     return lines
 
 
