@@ -355,6 +355,8 @@ def _cmd_dist(ns):
         e = rng.standard_normal(dim) if ns.x is None else _resolve_x(ns, None, dim)
     else:
         raise UsageError("dist needs --span <file> or --seed <n> to define the span")
+    if e.shape[0] != gens[0].shape[0]:
+        raise UsageError(f"--x has {e.shape[0]} entries, the span's vectors have {gens[0].shape[0]}")
     d_inc = distance(e, SpanBasis.from_vectors(gens), spec)
     d_oracle = distance_batch_oracle(e, gens, spec)
     record = {

@@ -25,8 +25,9 @@ row at p != 2 by _descent, as its distance to the span of one vector.
 
 distance_batch_oracle runs the same table with no incremental state and
 serves as ground truth in verification and tests: at p = 2 on the raw
-generators, at any other p on their _range_basis, so the oracle has one rank
-rule at every p, lstsq's.  prefix_distances gives the oracle's value at
+generators, at any other p on their _range_basis.  Every rank decision here
+(_range_basis, extend, _holder_bound, the prefix_distances fallback) asks
+_independent, lstsq's rule.  prefix_distances gives the oracle's value at
 every prefix from one unpivoted numpy QR of [A | e_hat]: ||R[k:, K]|| from
 the R-only QR at p = 2; at real p in {1, inf} the dual LPs of every
 Q[:, :k], stacked as block-diagonal models of at most _LP_NONZEROS nonzeros
@@ -47,7 +48,6 @@ from .errors import DimensionMismatch, SolverFailure
 from .simplex import solve_standard_lp
 from .space import NormSpec, L2, norm
 
-DEPENDENCY_TOL = 1e-10
 _LP_NONZEROS = 2**15  # cap on one block-diagonal prefix LP (_prefix_lp_distances)
 
 
@@ -87,15 +87,20 @@ def _project_residual(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return r
 
 
+def _independent(part, whole, shape):
+    """lstsq's rank rule (default rcond; Golub & Van Loan, 4th ed., 5.4): a
+    direction of size part counts when it is above eps * max(shape) * whole."""
+    return part > np.finfo(float).eps * max(shape) * whole
+
+
 def extend(Y: SpanBasis, v: np.ndarray) -> SpanBasis:
-    """SpanBasis of span(Y and v); Y itself when v is dependent, that is
-    when its residual is below DEPENDENCY_TOL * ||v||."""
+    """SpanBasis of span(Y and v); Y itself when v is dependent: when its
+    residual fails _independent against ||v|| for shape (dim, rank + 1)."""
     if v.shape[0] != Y.dim:
         raise DimensionMismatch(f"generator has dimension {v.shape[0]}, span has {Y.dim}")
-    nv = float(np.linalg.norm(v))
     r = _project_residual(Y.ortho, v)
     rn = float(np.linalg.norm(r))
-    if nv == 0.0 or rn < DEPENDENCY_TOL * nv:
+    if not _independent(rn, float(np.linalg.norm(v)), (Y.dim, Y.rank + 1)):
         return Y
     Q = np.vstack([Y.ortho, r / rn])
     Q.flags.writeable = False
@@ -130,11 +135,6 @@ def _scaled_columns(e, vectors, spec):
 def _nonnegative(value):
     """max(value, 0.0) but never -0.0 (max keeps the first of equal arguments); NaN stays NaN."""
     return max(value, 0.0) + 0.0
-
-
-def _lstsq_distance(e_hat, A):
-    coef, *_ = np.linalg.lstsq(A, e_hat, rcond=None)
-    return float(np.linalg.norm(e_hat - A @ coef))
 
 
 def _dual_model(e, blocks, p):
@@ -243,10 +243,10 @@ def _holder_bound(r0, U, y, p):
     columns, so by Holder this bounds min_a ||r0 - U a||_p below for any y,
     with equality at the optimum for y = |r|^(p-2) r at smooth p and for the
     dual LP's maximizer at p in {1, inf} (minimum-norm duality, _lp_distance).
-    It is 0 when ||y'|| <= DEPENDENCY_TOL * ||y||: y is in the span by
-    extend's test, and what is left of it is rounding."""
+    It is 0 when ||y'|| fails _independent against ||y|| for U's shape: y
+    is in the span, and what is left of it is rounding."""
     y_off = y - U @ (U.conj().T @ y)
-    if not np.linalg.norm(y_off) > DEPENDENCY_TOL * np.linalg.norm(y):
+    if not _independent(np.linalg.norm(y_off), np.linalg.norm(y), U.shape):
         return 0.0
     q = math.inf if p == 1.0 else 1.0 if p == math.inf else p / (p - 1.0)
     return float(np.vdot(y_off, r0).real) / norm(y_off, NormSpec(q))
@@ -291,12 +291,11 @@ def _descent_smooth(r0, U, p):
 
 
 def _range_basis(A):
-    """Orthonormal basis of A's columns from one SVD, cut where lstsq's
-    default rcond cuts (raw columns may be dependent or tiny): the numerical
-    rank of Golub & Van Loan, 4th ed., 5.4, shared by _descent and the
-    oracle."""
+    """Orthonormal basis of A's columns from one SVD, keeping the singular
+    values that _independent keeps against the largest (raw columns may be
+    dependent or tiny); shared by _descent and the oracle."""
     U, sv, _ = np.linalg.svd(A, full_matrices=False)
-    return np.ascontiguousarray(U[:, sv > np.finfo(float).eps * max(A.shape) * sv[:1]])
+    return np.ascontiguousarray(U[:, _independent(sv, sv[:1], A.shape)])
 
 
 def _newton_smooth(r0, U, p):
@@ -471,7 +470,7 @@ def _descent(e_hat, A, p):
 def _route_table(e_hat, A, p) -> float:
     """min_a ||e_hat - A a||_p on columns prepared by _scaled_columns."""
     if p == 2.0:
-        return _lstsq_distance(e_hat, A)
+        return float(np.linalg.norm(e_hat - A @ np.linalg.lstsq(A, e_hat, rcond=None)[0]))
     if p in (1.0, math.inf) and not np.iscomplexobj(A):
         return _lp_distance(e_hat, A, p)[0]
     return _descent(e_hat, A, p)[0]
@@ -501,12 +500,10 @@ def distance_batch_oracle(e: np.ndarray, generators, spec: NormSpec = L2) -> flo
     """Ground-truth distance recomputed from the raw generators.
 
     No incremental state.  p = 2 is a full least-squares solve on them.  Any
-    other p runs the route table on _range_basis of the scaled columns, the
-    SVD basis cut where lstsq's default rcond cuts: one rank rule at every
-    p, so the oracle keeps every direction least squares keeps, independent
-    of SpanBasis and of extend's DEPENDENCY_TOL, and well conditioned, where
-    descent on raw orbit directions (condition ~1e4) can stop short of the
-    minimum.
+    other p runs the route table on _range_basis of the scaled columns: it
+    keeps every direction least squares keeps, by extend's rule too, and
+    is well conditioned, where descent on raw orbit directions (condition
+    ~1e4) can stop short of the minimum.
     """
     generators = list(generators)
     if not generators:
@@ -527,9 +524,9 @@ def prefix_distances(e: np.ndarray, generators, spec: NormSpec = L2) -> list:
     solves _lp_distance's model for every Q[:, :k], consecutive prefixes
     sharing one block-diagonal LP; its values agree with one LP per prefix
     to HiGHS's tolerances, not to the bit.  At any other p the route table
-    runs on Q[:, :k].  A dropped zero column, K >= N or |R_ii| <=
-    DEPENDENCY_TOL (the columns are unit, so this is extend's test) falls
-    back to the oracle per prefix: a Householder step on a dependent column
+    runs on Q[:, :k].  A dropped zero column, K >= N or an |R_ii| that fails
+    _independent against 1 (the columns are unit) for M's shape falls back
+    to the oracle per prefix: a Householder step on a dependent column
     would add to Q a direction that is not in the span.
     """
     generators = list(generators)
@@ -542,7 +539,7 @@ def prefix_distances(e: np.ndarray, generators, spec: NormSpec = L2) -> list:
                 R = np.linalg.qr(M, mode="r")
             else:
                 Q, R = np.linalg.qr(M)
-            if np.abs(np.diag(R)[:K]).min() > DEPENDENCY_TOL:
+            if _independent(np.abs(np.diag(R)[:K]).min(), 1.0, M.shape):
                 if spec.p == 2.0:
                     return np.hypot.accumulate(np.abs(R[:0:-1, K]))[::-1].tolist()
                 if spec.p in (1.0, math.inf) and not np.iscomplexobj(Q):

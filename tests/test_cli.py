@@ -340,6 +340,22 @@ def test_span_of_no_vectors_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1 and "span record has no vectors" in err
 
 
+@pytest.mark.parametrize("source", ["seed", "span"])
+def test_point_and_span_of_different_lengths_is_a_usage_error(capsys, tmp_path, source):
+    # both lengths come from flags, so the mismatch is refused before any
+    # solver sees it, naming both
+    if source == "seed":
+        args, lengths = ["--seed", "3", "--dim", "4", "--x", "[1,2,3]"], ("3", "4")
+    else:
+        span_path = tmp_path / "span.json"
+        rec.write_record(span_path, rec.encode_vectors([np.array([1.0, 0.0, 0.0])]))
+        args, lengths = ["--span", str(span_path), "--x", "[1,2,3,4]"], ("4", "3")
+    code, out, err = run_cli(capsys, "dist", *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"--x has {lengths[0]} entries, the span's vectors have {lengths[1]}" in err
+
+
 def test_exit_codes(capsys, tmp_path):
     # usage error: no subcommand input
     code, _, err = run_cli(capsys, "extract", "--operator", "rolewicz:2")

@@ -301,19 +301,34 @@ def test_verify_rejects_inflated_ledger():
     assert not report.ok
 
 
-@pytest.mark.parametrize("spec", [L1, L2, NormSpec(3.0), LINF], ids=["l1", "l2", "p3", "linf"])
-def test_verify_refuses_a_span_that_holds_the_point(spec):
+def _nearly_dependent_orbit():
     # T e0 = e1 and T e1 = e1 + 2^-36 e0, so span{T x', T^2 x'} = span{e0, e1}
-    # holds x' = 1.5 e0 and d_2 = 0; extend drops the 2^-36 direction, and
-    # the scan certifies d_2 = 1.5.  The oracle keeps every direction least
-    # squares keeps, at every p, so verify refuses the certificate
+    # holds x' = 1.5 e0 and d_2 = 0, while every later power adds nothing
     M = np.zeros((3, 3))
     M[1, 0] = M[1, 1] = M[2, 2] = 1.0
     M[0, 1] = 2.0**-36
-    T, x = DenseMatrix(M), np.array([1.0, 0.0, 0.0])
+    return DenseMatrix(M), np.array([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("spec", [L1, L2, NormSpec(3.0), LINF], ids=["l1", "l2", "p3", "linf"])
+def test_extraction_keeps_a_nearly_dependent_direction(spec):
+    # extend keeps the 2^-36 direction, as least squares does, so T^2 x'
+    # scores 0 and no power qualifies at step 2
+    T, x = _nearly_dependent_orbit()
     cfg = ExtractionConfig(horizon=4, max_steps=2, theta=1.01, norm_spec=spec)
-    cert = extract_subsequence(T, x, cfg)
-    assert cert.indices == (1, 2) and cert.distances == (1.5, 1.5)
+    with pytest.raises(HorizonExhausted, match="n=2 at distance 0.0"):
+        extract_subsequence(T, x, cfg)
+
+
+@pytest.mark.parametrize("spec", [L1, L2, NormSpec(3.0), LINF], ids=["l1", "l2", "p3", "linf"])
+def test_verify_refuses_a_span_that_holds_the_point(spec):
+    # the certificate a scan that dropped the 2^-36 direction would emit:
+    # d_2 = 1.5 where the oracle, keeping every direction least squares
+    # keeps, at every p, recomputes d_2 = 0
+    T, x = _nearly_dependent_orbit()
+    lam, x_prime = rescale_for_extraction(x, T, spec)
+    cert = Certificate(scaled_x=x_prime, lambda_scale=lam, operator=T, indices=(1, 2),
+                       distances=(1.5, 1.5), theta=1.01, norm_spec=spec)
     report = verify_certificate(cert, T, x)
     assert report.failed_check == "distance-deviation"
     assert report.recomputed_distances[1] < 1e-4

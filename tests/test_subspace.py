@@ -33,7 +33,7 @@ from orbitgap import (
     verify_certificate,
 )
 from orbitgap import subspace
-from orbitgap.subspace import DEPENDENCY_TOL, _pnorm_and_grad, prefix_distances
+from orbitgap.subspace import _pnorm_and_grad, prefix_distances
 from orbitgap.errors import DimensionMismatch, SolverFailure
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -101,9 +101,10 @@ def test_dependency_tolerance_boundary():
     Y = SpanBasis.from_vectors([v])
     # exactly parallel, tiny: dependent, the span comes back unchanged
     assert extend(Y, 1e-3 * v) is Y
-    # nearly parallel but above tolerance: independent
-    Y3 = extend(Y, v + np.array([0.0, 10.0 * DEPENDENCY_TOL]))
-    assert Y3.rank == 2
+    # lstsq's cut for the 2 x 2 matrix [v | v + d] is 2 eps ||v + d|| ~ 4.4e-16:
+    # a residual of 1e-14 is a direction, one of 1e-17 is rounding
+    assert extend(Y, v + np.array([0.0, 1e-14])).rank == 2
+    assert extend(Y, v + np.array([0.0, 1e-17])) is Y
 
 
 def test_extend_dim_mismatch():
@@ -170,9 +171,11 @@ def test_oracle_ignores_dependent_generators():
 
 def test_oracle_keeps_nearly_dependent_directions():
     # the last generator is the one before it plus 2^-34 (+-1 per entry), a
-    # singular value near 1e-11 that least squares keeps: the oracle keeps
-    # it too, so it never reads above the least-squares residual's norm, a
-    # point of e + span
+    # singular value near 1e-11 that least squares keeps: the oracle and
+    # extend keep it too, so neither reads above the least-squares residual's
+    # norm, a point of e + span.  SpanBasis knows that direction only to
+    # about 1e-6 (Gram-Schmidt on a residual 1e-11 of its vector), hence
+    # distance's looser bound
     rng = np.random.default_rng(4)
     for _ in range(40):
         gens = list(rng.choice([-1.0, 1.0], (8, 9)))
@@ -180,8 +183,12 @@ def test_oracle_keeps_nearly_dependent_directions():
         e = rng.choice([-1.0, 1.0], 9)
         A = np.stack(gens, axis=1)
         r = e - A @ np.linalg.lstsq(A, e, rcond=None)[0]
-        for spec in (L1, LINF):
-            assert distance_batch_oracle(e, gens, spec) <= norm(r, spec) + 1e-9 * norm(e, spec)
+        Y = SpanBasis.from_vectors(gens)
+        for spec in (L1, L2, NormSpec(3.0), LINF):
+            upper, size = norm(r, spec), norm(e, spec)
+            assert distance(e, Y, spec) <= upper + 1e-6 * size, spec
+            if spec.p in (1.0, math.inf):
+                assert distance_batch_oracle(e, gens, spec) <= upper + 1e-9 * size, spec
 
 
 @pytest.fixture

@@ -40,8 +40,8 @@ Sweeps:
                              generators and point, the last generator the
                              one before it plus 2^-34 (+-1 per entry)
                    compare reports each route's moves and failures, and how
-                   many oracle values sit above the least-squares point's
-                   norm by more than 1e-9 ||e||_p
+                   many distance and oracle values sit above the
+                   least-squares point's norm by more than 1e-9 ||e||_p
 
 This is a tool for comparing commits, not a test: nothing here runs in the
 test suite or the benchmark.
@@ -258,16 +258,17 @@ def _compare_routes(group, names, ca, cb):
                         if isinstance(value := cases[name]["routes"][route], dict)]
             lines.append(f"[{group}] {route} failures in {side}: {len(failures)}")
             lines += [f"  {name}: {why}" for name, why in failures]
-    for side, cases in (("A", ca), ("B", cb)):
-        # the least-squares residual is a point of e + span: the oracle, a
-        # minimum over the span, may sit above its norm by rounding only
-        excess = [((c["routes"]["oracle"] - c["lsq"]) / c["norm"], name) for name in names
-                  if not isinstance((c := cases[name])["routes"]["oracle"], dict)]
-        above = sum(rel > 1e-9 for rel, _ in excess)
-        rel, where = max(excess, default=(0.0, None))
-        lines.append(f"[{group}] oracle above the least-squares point by more than 1e-9 ||e|| "
-                     f"in {side}: {above} of {len(excess)}; largest excess {max(rel, 0.0) + 0.0:.3e} ||e||"
-                     + (f" ({where})" if rel > 0.0 else ""))
+    for route in ("distance", "oracle"):
+        for side, cases in (("A", ca), ("B", cb)):
+            # the least-squares residual is a point of e + span: a minimum
+            # over the span may sit above its norm by rounding only
+            excess = [((c["routes"][route] - c["lsq"]) / c["norm"], name) for name in names
+                      if not isinstance((c := cases[name])["routes"][route], dict)]
+            above = sum(rel > 1e-9 for rel, _ in excess)
+            rel, where = max(excess, default=(0.0, None))
+            lines.append(f"[{group}] {route} above the least-squares point by more than 1e-9 ||e|| "
+                         f"in {side}: {above} of {len(excess)}; largest excess {max(rel, 0.0) + 0.0:.3e} ||e||"
+                         + (f" ({where})" if rel > 0.0 else ""))
     return lines
 
 
